@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the runtime substrate itself:
 // PUP throughput, emulator event rate, point-send + location-lookup paths,
-// reduction latency growth with PE count, and TRAM aggregation ablation.
+// reduction latency growth with PE count, and TRAM aggregation ablation;
+// plus the Barnes gravity kernel against its body-major predecessor.
 //
 // These measure HOST performance of the emulator and runtime data paths
 // (events/sec), plus virtual-time ablations (reduction latency, TRAM factor).
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,7 +19,9 @@
 #include <vector>
 
 #include "lb/load_db.hpp"
+#include "miniapps/barnes/barnes.hpp"
 #include "runtime/charm.hpp"
+#include "sim/rng.hpp"
 #include "tram/tram.hpp"
 
 namespace {
@@ -503,6 +507,80 @@ BENCHMARK(BM_LbAssignRebuild_Greedy)
 void BM_LbAssignRebuild_Refine(benchmark::State& state) { lb_assign_rebuild(state, "refine"); }
 BENCHMARK(BM_LbAssignRebuild_Refine)
     ->Arg(10000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+// ---- Barnes gravity kernel (DESIGN.md §14) ---------------------------------
+//
+// One near-piece reply ("pull"): every body of a remote piece acts on every
+// local body, n x n pairs.  BM_BarnesPull runs the production source-major
+// kernel over blocked SoA positions/accelerations; BM_BarnesPullBodyMajor is
+// the interleaved body-major loop it replaced, kept only here as the
+// same-run reference.  Both produce the same bits (the oracle tests in
+// tests/apps/test_barnes_lulesh.cpp), so the ns_per_pair ratio is the
+// kernel's speed-up alone.
+
+constexpr double kPullEps2 = 0.05 * 0.05;
+
+std::vector<barnes::Body> pull_bodies(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<barnes::Body> b(n);
+  for (barnes::Body& x : b) {
+    x.x = rng.next_double();
+    x.y = rng.next_double();
+    x.z = rng.next_double();
+    x.m = 1.0 / static_cast<double>(n);
+  }
+  return b;
+}
+
+template <class Pull>
+void pull_loop(benchmark::State& state, std::size_t n, Pull&& pull) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) pull();
+  const auto t1 = std::chrono::steady_clock::now();
+  const double pairs = static_cast<double>(state.iterations()) * static_cast<double>(n * n);
+  state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
+  state.counters["ns_per_pair"] = std::chrono::duration<double, std::nano>(t1 - t0).count() / pairs;
+}
+
+void BM_BarnesPull(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<barnes::Body> local = pull_bodies(n, 1), remote = pull_bodies(n, 2);
+  std::vector<double> pos(3 * n), acc(3 * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos[i] = local[i].x;
+    pos[n + i] = local[i].y;
+    pos[2 * n + i] = local[i].z;
+  }
+  pull_loop(state, n, [&] {
+    barnes::kernel::add_bodies(pos.data(), acc.data(), n, remote, kPullEps2);
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  });
+}
+BENCHMARK(BM_BarnesPull)->Arg(64)->Arg(256);
+
+void BM_BarnesPullBodyMajor(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<barnes::Body> local = pull_bodies(n, 1), remote = pull_bodies(n, 2);
+  std::vector<double> acc(3 * n, 0.0);
+  pull_loop(state, n, [&] {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const barnes::Body& o : remote) {
+        const double dx = o.x - local[i].x;
+        const double dy = o.y - local[i].y;
+        const double dz = o.z - local[i].z;
+        const double r2 = dx * dx + dy * dy + dz * dz + kPullEps2;
+        const double inv = 1.0 / (r2 * std::sqrt(r2));
+        acc[3 * i] += o.m * dx * inv;
+        acc[3 * i + 1] += o.m * dy * inv;
+        acc[3 * i + 2] += o.m * dz * inv;
+      }
+    }
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  });
+}
+BENCHMARK(BM_BarnesPullBodyMajor)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -5,6 +5,59 @@
 
 namespace charm::barnes {
 
+// ---- gravity kernel (DESIGN.md §14) ----------------------------------------------------
+
+namespace kernel {
+
+namespace {
+
+// The six streams are distinct blocks of `pos` and `acc`; declaring each
+// __restrict lets the vectorizer drop its runtime overlap checks.
+void add_source_streams(const double* __restrict x, const double* __restrict y,
+                        const double* __restrict z, double* __restrict ax,
+                        double* __restrict ay, double* __restrict az, std::size_t lo,
+                        std::size_t hi, Source s, double eps2) {
+  for (std::size_t k = lo; k < hi; ++k) {
+    const double dx = s.x - x[k];
+    const double dy = s.y - y[k];
+    const double dz = s.z - z[k];
+    const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+    const double inv = 1.0 / (r2 * std::sqrt(r2));
+    ax[k] += s.m * dx * inv;
+    ay[k] += s.m * dy * inv;
+    az[k] += s.m * dz * inv;
+  }
+}
+
+}  // namespace
+
+void add_source(const double* __restrict pos, double* __restrict acc, std::size_t n,
+                std::size_t lo, std::size_t hi, Source s, double eps2) {
+  add_source_streams(pos, pos + n, pos + 2 * n, acc, acc + n, acc + 2 * n, lo, hi, s, eps2);
+}
+
+void add_self(const double* pos, double* acc, const std::vector<Body>& bodies, double eps2) {
+  // For a target k > j the term m_j*(x_j - x_k)*inv is the exact negation of
+  // m_j*(x_k - x_j)*inv (IEEE negation is exact, r2 sees only squares), so
+  // this sweep matches a symmetric half-triangle that subtracts it, bit for
+  // bit, and each target still sums its sources in index order.
+  const std::size_t n = bodies.size();
+  for (std::size_t j = 0; j < n; ++j) {
+    const Source s{pos[j], pos[n + j], pos[2 * n + j], bodies[j].m};
+    add_source(pos, acc, n, 0, j, s, eps2);
+    add_source(pos, acc, n, j + 1, n, s, eps2);
+  }
+}
+
+void add_bodies(const double* pos, double* acc, std::size_t n,
+                const std::vector<Body>& sources, double eps2) {
+  for (const Body& o : sources) add_source(pos, acc, n, 0, n, {o.x, o.y, o.z, o.m}, eps2);
+}
+
+}  // namespace kernel
+
+// ---- Piece -----------------------------------------------------------------------------
+
 Callback Piece::phase_cb;
 
 Piece::Piece(const Params& p, ArrayProxy<Piece, std::int32_t> pieces)
@@ -39,6 +92,16 @@ void Piece::exchange() {
     pieces_[static_cast<std::int32_t>(owner)].send<&Piece::take_bodies>(m);
   }
   charm::charge(0.1e-6 + 5e-9 * static_cast<double>(bodies_.size()));
+}
+
+void Piece::fill_positions() {
+  const std::size_t n = bodies_.size();
+  pos_.resize(3 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos_[i] = bodies_[i].x;
+    pos_[n + i] = bodies_[i].y;
+    pos_[2 * n + i] = bodies_[i].z;
+  }
 }
 
 void Piece::take_bodies(const BodiesMsg& m) {
@@ -82,24 +145,12 @@ void Piece::gravity(const SummariesMsg& m) {
     if (s.piece == me) mine = s;
 
   // Self-interactions: exact pairwise.
+  const std::size_t n = bodies_.size();
   const double eps2 = p_.soften * p_.soften;
-  for (std::size_t i = 0; i < bodies_.size(); ++i) {
-    for (std::size_t j = i + 1; j < bodies_.size(); ++j) {
-      const double dx = bodies_[j].x - bodies_[i].x;
-      const double dy = bodies_[j].y - bodies_[i].y;
-      const double dz = bodies_[j].z - bodies_[i].z;
-      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-      const double inv = 1.0 / (r2 * std::sqrt(r2));
-      acc_[3 * i] += bodies_[j].m * dx * inv;
-      acc_[3 * i + 1] += bodies_[j].m * dy * inv;
-      acc_[3 * i + 2] += bodies_[j].m * dz * inv;
-      acc_[3 * j] -= bodies_[i].m * dx * inv;
-      acc_[3 * j + 1] -= bodies_[i].m * dy * inv;
-      acc_[3 * j + 2] -= bodies_[i].m * dz * inv;
-    }
-  }
-  direct_pairs_ += bodies_.size() * (bodies_.size() + 1) / 2;
-  charm::charge(p_.pair_cost * static_cast<double>(bodies_.size() * bodies_.size() / 2));
+  fill_positions();
+  kernel::add_self(pos_.data(), acc_.data(), bodies_, eps2);
+  direct_pairs_ += n * (n + 1) / 2;
+  charm::charge(p_.pair_cost * static_cast<double>(n * n / 2));
 
   for (const PieceSummary& s : all_) {
     if (s.piece == me || s.count == 0) continue;
@@ -107,17 +158,8 @@ void Piece::gravity(const SummariesMsg& m) {
     const double d = std::sqrt(dx * dx + dy * dy + dz * dz) + 1e-12;
     if ((s.radius + mine.radius) / d < p_.theta) {
       // Far: monopole on each local body.
-      for (std::size_t i = 0; i < bodies_.size(); ++i) {
-        const double bx = s.cx - bodies_[i].x;
-        const double by = s.cy - bodies_[i].y;
-        const double bz = s.cz - bodies_[i].z;
-        const double r2 = bx * bx + by * by + bz * bz + eps2;
-        const double inv = 1.0 / (r2 * std::sqrt(r2));
-        acc_[3 * i] += s.mass * bx * inv;
-        acc_[3 * i + 1] += s.mass * by * inv;
-        acc_[3 * i + 2] += s.mass * bz * inv;
-      }
-      charm::charge(p_.mono_cost * static_cast<double>(bodies_.size()));
+      kernel::add_source(pos_.data(), acc_.data(), n, 0, n, {s.cx, s.cy, s.cz, s.mass}, eps2);
+      charm::charge(p_.mono_cost * static_cast<double>(n));
     } else {
       // Near: remote data request; replies are prioritized over other work.
       ++replies_expected_;
@@ -135,31 +177,16 @@ void Piece::request(const RequestMsg& m) {
   out.bodies = bodies_;
   charm::charge(0.2e-6);
   // Remote data replies carry high priority (§IV-C-2): requesters are stalled.
-  pieces_[m.from].send<&Piece::reply>(out, kHighPriority);
-}
-
-void Piece::accumulate_direct(const std::vector<Body>& other) {
-  const double eps2 = p_.soften * p_.soften;
-  for (std::size_t i = 0; i < bodies_.size(); ++i) {
-    for (const Body& o : other) {
-      const double dx = o.x - bodies_[i].x;
-      const double dy = o.y - bodies_[i].y;
-      const double dz = o.z - bodies_[i].z;
-      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-      const double inv = 1.0 / (r2 * std::sqrt(r2));
-      acc_[3 * i] += o.m * dx * inv;
-      acc_[3 * i + 1] += o.m * dy * inv;
-      acc_[3 * i + 2] += o.m * dz * inv;
-    }
-  }
-  direct_pairs_ += bodies_.size() * other.size();
-  // One-sided evaluation (only our accelerations): half the arithmetic of a
-  // symmetric pair update, so charge pair_cost/2 per (i,j).
-  charm::charge(0.5 * p_.pair_cost * static_cast<double>(bodies_.size() * other.size()));
+  pieces_[m.from].send<&Piece::reply>(std::move(out), kHighPriority);
 }
 
 void Piece::reply(const BodiesMsg& m) {
-  accumulate_direct(m.bodies);
+  const std::size_t n = bodies_.size();
+  kernel::add_bodies(pos_.data(), acc_.data(), n, m.bodies, p_.soften * p_.soften);
+  direct_pairs_ += n * m.bodies.size();
+  // One-sided evaluation (only our accelerations): half the arithmetic of a
+  // symmetric pair update, so charge pair_cost/2 per (i,j).
+  charm::charge(0.5 * p_.pair_cost * static_cast<double>(n * m.bodies.size()));
   ++replies_seen_;
   maybe_finish_gravity();
 }
@@ -171,11 +198,12 @@ void Piece::maybe_finish_gravity() {
 }
 
 void Piece::integrate(const StartMsg&) {
-  for (std::size_t i = 0; i < bodies_.size(); ++i) {
+  const std::size_t n = bodies_.size();
+  for (std::size_t i = 0; i < n; ++i) {
     Body& b = bodies_[i];
-    b.vx += acc_[3 * i] * p_.dt;
-    b.vy += acc_[3 * i + 1] * p_.dt;
-    b.vz += acc_[3 * i + 2] * p_.dt;
+    b.vx += acc_[i] * p_.dt;
+    b.vy += acc_[n + i] * p_.dt;
+    b.vz += acc_[2 * n + i] * p_.dt;
     b.x = std::clamp(b.x + b.vx * p_.dt, 0.0, 1.0 - 1e-9);
     b.y = std::clamp(b.y + b.vy * p_.dt, 0.0, 1.0 - 1e-9);
     b.z = std::clamp(b.z + b.vz * p_.dt, 0.0, 1.0 - 1e-9);
@@ -215,6 +243,7 @@ void Piece::pup(pup::Er& p) {
   p | replies_seen_;
   p | gravity_active_;
   p | direct_pairs_;
+  if (p.unpacking()) fill_positions();
 }
 
 // ---- Simulation ------------------------------------------------------------------------
@@ -266,21 +295,26 @@ int Simulation::npieces() const {
   return p_.pieces_per_dim * p_.pieces_per_dim * p_.pieces_per_dim;
 }
 
+// The read-only sweeps probe with local_if: local() is the write-intent call
+// and would first-touch a PeLocal page on every PE.
 std::size_t Simulation::total_bodies() const {
   std::size_t n = 0;
-  Collection& c = rt_.collection(pieces_.id());
+  const Collection& c = rt_.collection(pieces_.id());
   for (int pe = 0; pe < rt_.npes(); ++pe)
-    for (auto& [ix, obj] : c.local(pe).elems)
-      n += static_cast<Piece*>(obj.get())->bodies().size();
+    if (const PeLocal* pl = c.local_if(pe))
+      for (const auto& [ix, obj] : pl->elems)
+        n += static_cast<const Piece*>(obj.get())->bodies().size();
   return n;
 }
 
 std::array<double, 3> Simulation::total_momentum() const {
   std::array<double, 3> m{0, 0, 0};
-  Collection& c = rt_.collection(pieces_.id());
+  const Collection& c = rt_.collection(pieces_.id());
   for (int pe = 0; pe < rt_.npes(); ++pe) {
-    for (auto& [ix, obj] : c.local(pe).elems) {
-      for (const Body& b : static_cast<Piece*>(obj.get())->bodies()) {
+    const PeLocal* pl = c.local_if(pe);
+    if (pl == nullptr) continue;
+    for (const auto& [ix, obj] : pl->elems) {
+      for (const Body& b : static_cast<const Piece*>(obj.get())->bodies()) {
         m[0] += b.m * b.vx;
         m[1] += b.m * b.vy;
         m[2] += b.m * b.vz;

@@ -16,6 +16,7 @@
 // The Plummer-like clustered particle distribution makes central pieces far
 // heavier — the imbalance Fig 12 measures.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -44,6 +45,35 @@ struct Body {
   double vx = 0, vy = 0, vz = 0;
   double m = 1.0;
 };
+
+/// The gravity kernel (DESIGN.md §14).  Target positions `pos` and
+/// accelerations `acc` are blocked structure-of-arrays over `n` bodies,
+/// [x0..xn-1 | y.. | z..] and [ax.. | ay.. | az..].
+namespace kernel {
+
+/// One point mass acting on the targets: a body, or a far piece's monopole.
+struct Source {
+  double x = 0, y = 0, z = 0, m = 0;
+};
+
+/// Adds `s`'s softened acceleration to targets [lo, hi):
+///   acc += m * (s - x) * (1 / (r2 * sqrt(r2))),  r2 = |s - x|^2 + eps2,
+/// in exactly that operation order, so any caller that presents a target's
+/// sources in a fixed order gets a bit-reproducible sum however the loop is
+/// vectorized.
+void add_source(const double* __restrict pos, double* __restrict acc, std::size_t n,
+                std::size_t lo, std::size_t hi, Source s, double eps2);
+
+/// All pairs within one piece (`bodies` supplies the masses): source j acts
+/// on [0, j) and (j, n), so every target sums the others in index order.
+void add_self(const double* pos, double* acc, const std::vector<Body>& bodies, double eps2);
+
+/// One-sided near interaction: every body of `sources`, in order, acts on
+/// all n targets.
+void add_bodies(const double* pos, double* acc, std::size_t n,
+                const std::vector<Body>& sources, double eps2);
+
+}  // namespace kernel
 
 struct PieceSummary {
   std::int32_t piece = -1;
@@ -108,18 +138,25 @@ class Piece : public charm::ArrayElement<Piece, std::int32_t> {
   const std::vector<Body>& bodies() const { return bodies_; }
   void seed_bodies(std::vector<Body> b) { bodies_ = std::move(b); }
   std::uint64_t direct_pairs() const { return direct_pairs_; }
+  /// Near-piece replies still awaited in the current gravity phase.
+  int replies_outstanding() const {
+    return gravity_active_ ? replies_expected_ - replies_seen_ : 0;
+  }
 
   static Callback phase_cb;  ///< phase-barrier reduction target
 
  private:
   int owner_of(const Body& b) const;
   void maybe_finish_gravity();
-  void accumulate_direct(const std::vector<Body>& other);
+  void fill_positions();
 
   Params p_{};
   ArrayProxy<Piece, std::int32_t> pieces_;
   std::vector<Body> bodies_;
-  std::vector<double> acc_;        ///< 3 per body
+  std::vector<double> acc_;        ///< blocked [ax.. | ay.. | az..], 3 per body
+  /// Blocked [x.. | y.. | z..] copy of bodies_' positions for the kernel.
+  /// Derived state, not pup'd: rebuilt by gravity() and on unpack.
+  std::vector<double> pos_;
   std::vector<PieceSummary> all_;  ///< gathered summaries for this step
   int replies_expected_ = 0;
   int replies_seen_ = 0;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "miniapps/barnes/barnes.hpp"
 #include "miniapps/lulesh/lulesh.hpp"
+#include "sim/rng.hpp"
 
 #include "test_util.hpp"
 
@@ -157,6 +160,248 @@ TEST(Barnes, OrbLbImprovesClusteredRun) {
     return h.machine.max_pe_clock();
   };
   EXPECT_LT(run(true), run(false));
+}
+
+// ---- Gravity kernel: bit-identity with the body-major loops it replaced --------
+
+// The pre-SoA loops, kept here only as the oracle: accelerations interleaved
+// 3 per body, the symmetric self half-triangle, one-sided near replies
+// (local body outside, remote bodies inside), and the far monopole.
+void oracle_self(const std::vector<barnes::Body>& b, std::vector<double>& acc, double eps2) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    for (std::size_t j = i + 1; j < b.size(); ++j) {
+      const double dx = b[j].x - b[i].x;
+      const double dy = b[j].y - b[i].y;
+      const double dz = b[j].z - b[i].z;
+      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+      const double inv = 1.0 / (r2 * std::sqrt(r2));
+      acc[3 * i] += b[j].m * dx * inv;
+      acc[3 * i + 1] += b[j].m * dy * inv;
+      acc[3 * i + 2] += b[j].m * dz * inv;
+      acc[3 * j] -= b[i].m * dx * inv;
+      acc[3 * j + 1] -= b[i].m * dy * inv;
+      acc[3 * j + 2] -= b[i].m * dz * inv;
+    }
+  }
+}
+
+void oracle_near(const std::vector<barnes::Body>& b, const std::vector<barnes::Body>& other,
+                 std::vector<double>& acc, double eps2) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    for (const barnes::Body& o : other) {
+      const double dx = o.x - b[i].x;
+      const double dy = o.y - b[i].y;
+      const double dz = o.z - b[i].z;
+      const double r2 = dx * dx + dy * dy + dz * dz + eps2;
+      const double inv = 1.0 / (r2 * std::sqrt(r2));
+      acc[3 * i] += o.m * dx * inv;
+      acc[3 * i + 1] += o.m * dy * inv;
+      acc[3 * i + 2] += o.m * dz * inv;
+    }
+  }
+}
+
+void oracle_far(const std::vector<barnes::Body>& b, const barnes::kernel::Source& s,
+                std::vector<double>& acc, double eps2) {
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const double bx = s.x - b[i].x;
+    const double by = s.y - b[i].y;
+    const double bz = s.z - b[i].z;
+    const double r2 = bx * bx + by * by + bz * bz + eps2;
+    const double inv = 1.0 / (r2 * std::sqrt(r2));
+    acc[3 * i] += s.m * bx * inv;
+    acc[3 * i + 1] += s.m * by * inv;
+    acc[3 * i + 2] += s.m * bz * inv;
+  }
+}
+
+/// Bodies with varied masses, plus exact coincidences: every 7th body sits
+/// on its predecessor (dx = dy = dz = 0) and every 5th shares its x only.
+std::vector<barnes::Body> kernel_bodies(std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<barnes::Body> b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i].x = rng.next_double();
+    b[i].y = rng.next_double();
+    b[i].z = rng.next_double();
+    b[i].m = 0.5 + rng.next_double();
+    if (i > 0 && i % 7 == 0) {
+      b[i].x = b[i - 1].x;
+      b[i].y = b[i - 1].y;
+      b[i].z = b[i - 1].z;
+    } else if (i > 0 && i % 5 == 0) {
+      b[i].x = b[i - 1].x;
+    }
+  }
+  return b;
+}
+
+/// The kernel's inputs for `b`: blocked [x.. | y.. | z..] positions and a
+/// zeroed blocked acceleration array.
+struct SoaTargets {
+  std::vector<double> pos, acc;
+  explicit SoaTargets(const std::vector<barnes::Body>& b) : pos(3 * b.size()), acc(3 * b.size()) {
+    const std::size_t n = b.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      pos[i] = b[i].x;
+      pos[n + i] = b[i].y;
+      pos[2 * n + i] = b[i].z;
+    }
+  }
+};
+
+/// Byte-compares the kernel's blocked accelerations with the oracle's
+/// interleaved ones (memcmp: -0.0 vs +0.0 or a last-bit difference fails).
+bool bit_equal(const std::vector<double>& blocked, const std::vector<double>& interleaved) {
+  const std::size_t n = interleaved.size() / 3;
+  std::vector<double> t(interleaved.size());
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < 3; ++c) t[c * n + i] = interleaved[3 * i + c];
+  return blocked.size() == t.size() &&
+         (t.empty() || std::memcmp(blocked.data(), t.data(), t.size() * sizeof(double)) == 0);
+}
+
+constexpr std::size_t kKernelSizes[] = {0, 1, 2, 3, 5, 64, 129, 300};
+constexpr double kKernelEps2 = 0.05 * 0.05;
+
+TEST(BarnesKernel, SelfSweepIsBitEqualToSymmetricTriangle) {
+  for (std::size_t n : kKernelSizes) {
+    const auto b = kernel_bodies(n, 100 + n);
+    std::vector<double> ref(3 * n, 0.0);
+    oracle_self(b, ref, kKernelEps2);
+    SoaTargets t(b);
+    barnes::kernel::add_self(t.pos.data(), t.acc.data(), b, kKernelEps2);
+    EXPECT_TRUE(bit_equal(t.acc, ref)) << "n=" << n;
+  }
+}
+
+TEST(BarnesKernel, NearAndFarAreBitEqualToBodyMajor) {
+  for (std::size_t n : kKernelSizes) {
+    for (std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{129}}) {
+      const auto b = kernel_bodies(n, 200 + n);
+      auto other = kernel_bodies(m, 300 + m);
+      // A remote body exactly on a local one: the dx = 0 source case.
+      if (n > 0) {
+        other[0].x = b[n / 2].x;
+        other[0].y = b[n / 2].y;
+        other[0].z = b[n / 2].z;
+      }
+      const barnes::kernel::Source far{0.9, -0.4, 1.7, 3.25};
+      std::vector<double> ref(3 * n, 0.0);
+      oracle_near(b, other, ref, kKernelEps2);
+      oracle_far(b, far, ref, kKernelEps2);
+      SoaTargets t(b);
+      barnes::kernel::add_bodies(t.pos.data(), t.acc.data(), n, other, kKernelEps2);
+      barnes::kernel::add_source(t.pos.data(), t.acc.data(), n, 0, n, far, kKernelEps2);
+      EXPECT_TRUE(bit_equal(t.acc, ref)) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+TEST(BarnesKernel, MixedSelfNearFarSequenceIsBitEqual) {
+  // The order a piece sees in one gravity phase: self pairs, far monopoles
+  // in summary order, then near replies as they arrive.
+  for (std::size_t n : kKernelSizes) {
+    const auto b = kernel_bodies(n, 400 + n);
+    const auto near1 = kernel_bodies(5, 500 + n);
+    const auto near2 = kernel_bodies(64, 600 + n);
+    const barnes::kernel::Source far1{-0.5, 0.25, 0.125, 7.0};
+    const barnes::kernel::Source far2{1.5, 1.25, -2.0, 0.03125};
+    std::vector<double> ref(3 * n, 0.0);
+    oracle_self(b, ref, kKernelEps2);
+    oracle_far(b, far1, ref, kKernelEps2);
+    oracle_far(b, far2, ref, kKernelEps2);
+    oracle_near(b, near1, ref, kKernelEps2);
+    oracle_near(b, near2, ref, kKernelEps2);
+    SoaTargets t(b);
+    barnes::kernel::add_self(t.pos.data(), t.acc.data(), b, kKernelEps2);
+    barnes::kernel::add_source(t.pos.data(), t.acc.data(), n, 0, n, far1, kKernelEps2);
+    barnes::kernel::add_source(t.pos.data(), t.acc.data(), n, 0, n, far2, kKernelEps2);
+    barnes::kernel::add_bodies(t.pos.data(), t.acc.data(), n, near1, kKernelEps2);
+    barnes::kernel::add_bodies(t.pos.data(), t.acc.data(), n, near2, kKernelEps2);
+    EXPECT_TRUE(bit_equal(t.acc, ref)) << "n=" << n;
+  }
+}
+
+// ---- Derived kernel state across PUP; read-only sweeps ---------------------------
+
+TEST(Barnes, MigrationWithRepliesOutstandingFinishesBitExact) {
+  // A piece awaiting its last near reply is PUP'd away (migrated, so it is
+  // rebuilt from a default-constructed Piece with no position scratch); it
+  // must finish gravity bit-equal to the same piece in an untouched twin run.
+  // With one reply left, reply order cannot differ between the runs.
+  const barnes::Params p = small_barnes();
+  std::int32_t target = -1;
+  std::uint64_t at_step = 0;
+  std::vector<barnes::Body> twin;
+  std::uint64_t twin_pairs = 0;
+  {
+    Harness h(4);
+    barnes::Simulation sim(h.rt, p);
+    bool done = false;
+    h.rt.on_pe(0, [&] {
+      sim.run(1, Callback::to_function([&](ReductionResult&&) { done = true; }));
+    });
+    for (std::uint64_t s = 1; h.machine.step(); ++s) {
+      if (target >= 0) continue;
+      for (std::int32_t i = 0; i < sim.npieces(); ++i) {
+        if (h.find<barnes::Piece>(sim.pieces().id(), i)->replies_outstanding() == 1) {
+          target = i;
+          at_step = s;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(done);
+    ASSERT_GE(target, 0) << "no piece ever awaited exactly one reply";
+    const barnes::Piece* piece = h.find<barnes::Piece>(sim.pieces().id(), target);
+    twin = piece->bodies();
+    twin_pairs = piece->direct_pairs();
+  }
+  Harness h(4);
+  barnes::Simulation sim(h.rt, p);
+  bool done = false;
+  h.rt.on_pe(0, [&] {
+    sim.run(1, Callback::to_function([&](ReductionResult&&) { done = true; }));
+  });
+  for (std::uint64_t s = 0; s < at_step; ++s) ASSERT_TRUE(h.machine.step());
+  int owner = -1;
+  const barnes::Piece* before = h.find<barnes::Piece>(sim.pieces().id(), target, &owner);
+  ASSERT_EQ(before->replies_outstanding(), 1);
+  // Migration starts on the hosting PE; the piece must still await its reply.
+  bool migrated = false;
+  h.rt.on_pe(owner, [&] {
+    if (before->replies_outstanding() != 1) return;
+    h.rt.migrate(sim.pieces().id(), IndexTraits<std::int32_t>::encode(target),
+                 (owner + 1) % h.rt.npes());
+    migrated = true;
+  }, kHighPriority);
+  h.machine.run();
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(migrated) << "the last reply ran before the migration";
+  int now = -1;
+  const barnes::Piece* after = h.find<barnes::Piece>(sim.pieces().id(), target, &now);
+  ASSERT_NE(after, nullptr);
+  EXPECT_NE(now, owner) << "the piece should have migrated";
+  EXPECT_EQ(after->direct_pairs(), twin_pairs);
+  ASSERT_EQ(after->bodies().size(), twin.size());
+  EXPECT_EQ(0, std::memcmp(after->bodies().data(), twin.data(), twin.size() * sizeof(barnes::Body)));
+}
+
+TEST(Barnes, ReadOnlySweepsTouchNoPeState) {
+  // 27 pieces on a 65536-PE machine: the body-count and momentum sweeps must
+  // probe, not first-touch, the PEs that host nothing.
+  Harness h(65536);
+  barnes::Simulation sim(h.rt, small_barnes());
+  const std::size_t slots = h.rt.collection(sim.pieces().id()).pe.touched();
+  const Runtime::MemoryFootprint before = h.rt.memory_footprint();
+  EXPECT_EQ(sim.total_bodies(), 600u);
+  const std::array<double, 3> mom = sim.total_momentum();
+  EXPECT_TRUE(std::isfinite(mom[0] + mom[1] + mom[2]));
+  const Runtime::MemoryFootprint after = h.rt.memory_footprint();
+  EXPECT_EQ(after.touched_pes, before.touched_pes);
+  EXPECT_EQ(after.collection_bytes, before.collection_bytes);
+  EXPECT_EQ(h.rt.collection(sim.pieces().id()).pe.touched(), slots);
 }
 
 // ---- LULESH proxy -----------------------------------------------------------------
