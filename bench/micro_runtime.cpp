@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the runtime substrate itself:
 // PUP throughput, emulator event rate, point-send + location-lookup paths,
 // reduction latency growth with PE count, and TRAM aggregation ablation;
-// plus the Barnes gravity kernel against its body-major predecessor.
+// plus the Barnes gravity kernel against its body-major predecessor, and the
+// flat location-record probe against the node map it replaced.
 //
 // These measure HOST performance of the emulator and runtime data paths
 // (events/sec), plus virtual-time ablations (reduction latency, TRAM factor).
@@ -16,11 +17,14 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lb/load_db.hpp"
 #include "miniapps/barnes/barnes.hpp"
 #include "runtime/charm.hpp"
+#include "runtime/location_records.hpp"
 #include "sim/rng.hpp"
 #include "tram/tram.hpp"
 
@@ -581,6 +585,60 @@ void BM_BarnesPullBodyMajor(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_BarnesPullBodyMajor)->Arg(64)->Arg(256);
+
+// ---- Location records (DESIGN.md §15) --------------------------------------
+//
+// The point-send hit path asks one PE what it knows about one index.
+// BM_LocationProbe answers through the flat per-PE record table;
+// BM_LocationProbeNodeMap through the node-based std::unordered_map the
+// location cache used to be, kept only here as the same-run reference.  Both
+// hold the same n integer-index keys (inserted in index order, like seeded
+// elements) and probe them in the same shuffled order, so the ns_per_probe
+// ratio is the table layout's speed-up alone.
+
+std::vector<ObjIndex> probe_keys(std::size_t n) {
+  std::vector<ObjIndex> keys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = IndexTraits<std::int32_t>::encode(static_cast<std::int32_t>(i));
+  return keys;
+}
+
+std::vector<ObjIndex> shuffled(std::vector<ObjIndex> keys) {
+  sim::Rng rng(3);
+  for (std::size_t i = keys.size(); i > 1; --i) std::swap(keys[i - 1], keys[rng.next_below(i)]);
+  return keys;
+}
+
+template <class Probe>
+void probe_loop(benchmark::State& state, const std::vector<ObjIndex>& order, Probe&& probe) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    int sum = 0;
+    for (const ObjIndex& k : order) sum += probe(k);
+    benchmark::DoNotOptimize(sum);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  const double probes = static_cast<double>(state.iterations()) * static_cast<double>(order.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(probes));
+  state.counters["ns_per_probe"] = std::chrono::duration<double, std::nano>(t1 - t0).count() / probes;
+}
+
+void BM_LocationProbe(benchmark::State& state) {
+  const std::vector<ObjIndex> keys = probe_keys(static_cast<std::size_t>(state.range(0)));
+  LocationRecords records;
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    records.insert(keys[i]).cached_pe = static_cast<int>(i % 64);
+  probe_loop(state, shuffled(keys), [&](const ObjIndex& k) { return records.find(k)->cached_pe; });
+}
+BENCHMARK(BM_LocationProbe)->Arg(1024);
+
+void BM_LocationProbeNodeMap(benchmark::State& state) {
+  const std::vector<ObjIndex> keys = probe_keys(static_cast<std::size_t>(state.range(0)));
+  std::unordered_map<ObjIndex, int, ObjIndexHash> cache;
+  for (std::size_t i = 0; i < keys.size(); ++i) cache[keys[i]] = static_cast<int>(i % 64);
+  probe_loop(state, shuffled(keys), [&](const ObjIndex& k) { return cache.find(k)->second; });
+}
+BENCHMARK(BM_LocationProbeNodeMap)->Arg(1024);
 
 }  // namespace
 

@@ -295,32 +295,22 @@ int Simulation::npieces() const {
   return p_.pieces_per_dim * p_.pieces_per_dim * p_.pieces_per_dim;
 }
 
-// The read-only sweeps probe with local_if: local() is the write-intent call
-// and would first-touch a PeLocal page on every PE.
 std::size_t Simulation::total_bodies() const {
   std::size_t n = 0;
-  const Collection& c = rt_.collection(pieces_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe)
-    if (const PeLocal* pl = c.local_if(pe))
-      for (const auto& [ix, obj] : pl->elems)
-        n += static_cast<const Piece*>(obj.get())->bodies().size();
+  rt_.collection(pieces_.id()).for_each_element(
+      [&n](const ArrayElementBase& e) { n += static_cast<const Piece&>(e).bodies().size(); });
   return n;
 }
 
 std::array<double, 3> Simulation::total_momentum() const {
   std::array<double, 3> m{0, 0, 0};
-  const Collection& c = rt_.collection(pieces_.id());
-  for (int pe = 0; pe < rt_.npes(); ++pe) {
-    const PeLocal* pl = c.local_if(pe);
-    if (pl == nullptr) continue;
-    for (const auto& [ix, obj] : pl->elems) {
-      for (const Body& b : static_cast<const Piece*>(obj.get())->bodies()) {
-        m[0] += b.m * b.vx;
-        m[1] += b.m * b.vy;
-        m[2] += b.m * b.vz;
-      }
+  rt_.collection(pieces_.id()).for_each_element([&m](const ArrayElementBase& e) {
+    for (const Body& b : static_cast<const Piece&>(e).bodies()) {
+      m[0] += b.m * b.vx;
+      m[1] += b.m * b.vy;
+      m[2] += b.m * b.vz;
     }
-  }
+  });
   return m;
 }
 

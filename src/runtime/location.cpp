@@ -49,7 +49,7 @@ void Runtime::handle_point_miss(Envelope env, int pe) {
     const CollectionId col = env.col;
     const ObjIndex ix = env.idx;
     send_control(src, 16, [this, col, ix, loc, src] {
-      collection(col).local(src).loc_cache[ix] = loc;
+      collection(col).learn_location(src, ix, loc);
     });
   }
   launch_envelope(std::move(env), loc);
@@ -81,8 +81,7 @@ void Runtime::install_element(CollectionId col, ObjIndex idx,
   obj->col_ = col;
   obj->idx_ = idx;
   obj->pe_ = pe;
-  ArrayElementBase* raw = obj.get();
-  c.local(pe).elems[idx] = std::move(obj);
+  ArrayElementBase* raw = c.add_element(pe, idx, std::move(obj));
 
   if (migrated) raw->on_migrated();
   lb_->on_element_added(c, *raw);
@@ -109,11 +108,7 @@ void Runtime::perform_migration(CollectionId col, ObjIndex idx, int to_pe) {
   elem->epoch_ += 1;
   const std::uint32_t epoch = elem->epoch_;
 
-  // Extract the element from the local table.
-  auto& m = c.local(from).elems;
-  auto it = m.find(idx);
-  std::unique_ptr<ArrayElementBase> obj = std::move(it->second);
-  m.erase(it);
+  std::unique_ptr<ArrayElementBase> obj = c.remove_element(from, idx);
 
   std::size_t bytes;
   std::vector<std::byte> data;
@@ -174,17 +169,14 @@ void Runtime::migrate(CollectionId col, ObjIndex idx, int to_pe) {
 
 void Runtime::destroy_local(CollectionId col, ObjIndex idx, int pe) {
   Collection& c = collection(col);
-  PeLocal* hosting = c.local_if(pe);
-  if (hosting == nullptr) return;
-  auto& m = hosting->elems;
-  auto it = m.find(idx);
-  if (it == m.end()) return;
-  lb_->on_element_removed(*it->second);
-  m.erase(it);
+  std::unique_ptr<ArrayElementBase> obj = c.remove_element(pe, idx);
+  if (obj == nullptr) return;
+  lb_->on_element_removed(*obj);
+  obj.reset();
   --c.total_elements;
   const int h = home_pe(idx);
   if (h == pe) {
-    hosting->home.erase(idx);
+    c.local(pe).home.erase(idx);
   } else {
     send_control(h, 16, [this, col, idx, h] {
       // Erasing a missing record is a no-op, so probing stays equivalent.
@@ -202,7 +194,7 @@ void Runtime::rebuild_location_tables() {
     // visit order, so the rebuilt tables are identical to a dense walk.
     c.pe.for_each_touched([](std::size_t, PeLocal& pl) {
       pl.home.clear();
-      pl.loc_cache.clear();
+      pl.forget_locations();
     });
     c.pe.for_each_touched([this, &c](std::size_t p, PeLocal& pl) {
       for (auto& [ix, obj] : pl.elems) {

@@ -55,8 +55,7 @@ void Runtime::seed_element(CollectionId col, ObjIndex idx,
   obj->epoch_ = 1;
   obj->redux_seq_ = std::max(obj->redux_seq_, c.redux_floor);
   if (c.is_group) obj->migratable_ = false;
-  ArrayElementBase* raw = obj.get();
-  c.local(pe).elems[idx] = std::move(obj);
+  ArrayElementBase* raw = c.add_element(pe, idx, std::move(obj));
   ++c.total_elements;
   lb_->on_element_added(c, *raw);
   if (!c.is_group) {
@@ -114,15 +113,10 @@ void Runtime::launch_envelope(Envelope env, int dst, bool count) {
 
 int Runtime::route_point(Collection& c, const ObjIndex& idx, int src_pe) {
   if (c.is_group) return static_cast<int>(IndexTraits<std::int32_t>::decode(idx));
-  const int sp = src_pe >= 0 ? src_pe : 0;
-  // Probing keeps routing from a never-touched source PE zero-byte (find()
-  // already probes; the cache lookup must not materialize either).
-  if (const PeLocal* pl = c.local_if(sp); pl != nullptr) {
-    if (pl->elems.find(idx) != pl->elems.end()) return sp;
-    auto it = pl->loc_cache.find(idx);
-    if (it != pl->loc_cache.end()) return it->second;
-  }
-  return home_pe(idx);
+  // One record probe; a never-touched source PE knows nothing and stays
+  // zero-byte.
+  const int loc = c.known_location(src_pe >= 0 ? src_pe : 0, idx);
+  return loc != kInvalidPe ? loc : home_pe(idx);
 }
 
 void Runtime::send_point_to(CollectionId col, ObjIndex idx, EntryId ep,
@@ -186,27 +180,22 @@ void Runtime::on_envelope(Envelope env) {
     return;
   }
 
-  ArrayElementBase* elem = c.find(pe, env.idx);
-  if (elem != nullptr) {
-    deliver_here(std::move(env), pe);
+  if (ArrayElementBase* elem = c.find(pe, env.idx)) {
+    deliver_here(std::move(env), *elem, pe);
   } else {
     handle_point_miss(std::move(env), pe);
   }
 }
 
-void Runtime::deliver_here(Envelope env, int pe) {
-  Collection& c = collection(env.col);
-  ArrayElementBase* elem = c.find(pe, env.idx);
-  assert(elem != nullptr);
-
+void Runtime::deliver_here(Envelope env, ArrayElementBase& elem, int pe) {
   const EntryInfo& einfo = Registry::instance().entry(env.ep);
   pup::Unpacker u(env.payload);
 
-  ExecFrame f = begin_exec(*elem);
+  ExecFrame f = begin_exec(elem);
   const double t0 = machine_.handler_elapsed();
-  einfo.invoke(elem, u);
+  einfo.invoke(&elem, u);
   const double dt = machine_.handler_elapsed() - t0;
-  elem->lb_load_ += dt;
+  elem.lb_load_ += dt;
   if (trace::Tracer* tr = machine_.tracer()) {
     const double end = machine_.now();
     tr->entry(pe, env.col, env.ep, end - dt, end);
@@ -441,14 +430,9 @@ void Runtime::set_pe_dead(int pe, bool dead) {
 std::unique_ptr<ArrayElementBase> Runtime::extract_local(CollectionId col, ObjIndex idx,
                                                          int pe) {
   Collection& c = collection(col);
-  PeLocal* pl = c.local_if(pe);
-  if (pl == nullptr) return nullptr;
-  auto& m = pl->elems;
-  auto it = m.find(idx);
-  if (it == m.end()) return nullptr;
-  std::unique_ptr<ArrayElementBase> obj = std::move(it->second);
+  std::unique_ptr<ArrayElementBase> obj = c.remove_element(pe, idx);
+  if (obj == nullptr) return nullptr;
   lb_->on_element_removed(*obj);
-  m.erase(it);
   --c.total_elements;
   return obj;
 }

@@ -341,12 +341,12 @@ class Runtime {
 
   void launch_envelope(Envelope env, int dst, bool count = true);
   void on_envelope(Envelope env);
-  void deliver_here(Envelope env, int pe);
+  void deliver_here(Envelope env, ArrayElementBase& elem, int pe);
   void handle_point_miss(Envelope env, int pe);
 
   /// Routing decision for a point message, shared by the packed and typed
-  /// send paths: group index decodes to a PE; otherwise local table, then
-  /// location cache, then the home PE.
+  /// send paths: group index decodes to a PE; otherwise the source PE's
+  /// location record (element here, then cached location), then the home PE.
   int route_point(Collection& c, const ObjIndex& idx, int src_pe);
   /// Builds the Envelope (source identity from the execution context) and
   /// launches it at an already-routed destination.

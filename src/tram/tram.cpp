@@ -12,16 +12,14 @@ Core::Core(Runtime& rt, CollectionId target, Params params)
       pes_(static_cast<std::size_t>(rt.npes())) {}
 
 int Core::resolve_dest(int pe, const ObjIndex& idx) {
-  // Location reads probe: a PE with no PeLocal block has no cache or home
-  // entries, so the answer is the same as a dense lookup on empty maps.
+  // The runtime's own routing order (element here, then cached location),
+  // plus the home-record consult when this PE is the home.  Location reads
+  // probe: a PE with no PeLocal block knows nothing, exactly like a dense
+  // lookup on empty tables.
   Collection& c = rt_.collection(col_);
-  if (c.find(pe, idx) != nullptr) return pe;
-  const PeLocal* pl = c.local_if(pe);
-  if (pl != nullptr) {
-    if (auto it = pl->loc_cache.find(idx); it != pl->loc_cache.end())
-      return it->second;
-  }
+  if (const int known = c.known_location(pe, idx); known != kInvalidPe) return known;
   int dest = rt_.home_pe(idx);
+  const PeLocal* pl = c.local_if(pe);
   if (dest == pe && pl != nullptr) {
     auto hit = pl->home.find(idx);
     if (hit != pl->home.end() && hit->second.location != kInvalidPe)
@@ -43,10 +41,8 @@ int Core::better_location(int pe, const ObjIndex& idx) {
       }
     }
   } else {
-    if (pl != nullptr) {
-      auto it = pl->loc_cache.find(idx);
-      if (it != pl->loc_cache.end() && it->second != pe) better = it->second;
-    }
+    const int cached = c.locate(pe, idx).cached_pe;
+    if (cached != pe) better = cached;
     if (better == kInvalidPe) better = rt_.home_pe(idx);
   }
   return better;

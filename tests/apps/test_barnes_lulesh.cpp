@@ -388,22 +388,6 @@ TEST(Barnes, MigrationWithRepliesOutstandingFinishesBitExact) {
   EXPECT_EQ(0, std::memcmp(after->bodies().data(), twin.data(), twin.size() * sizeof(barnes::Body)));
 }
 
-TEST(Barnes, ReadOnlySweepsTouchNoPeState) {
-  // 27 pieces on a 65536-PE machine: the body-count and momentum sweeps must
-  // probe, not first-touch, the PEs that host nothing.
-  Harness h(65536);
-  barnes::Simulation sim(h.rt, small_barnes());
-  const std::size_t slots = h.rt.collection(sim.pieces().id()).pe.touched();
-  const Runtime::MemoryFootprint before = h.rt.memory_footprint();
-  EXPECT_EQ(sim.total_bodies(), 600u);
-  const std::array<double, 3> mom = sim.total_momentum();
-  EXPECT_TRUE(std::isfinite(mom[0] + mom[1] + mom[2]));
-  const Runtime::MemoryFootprint after = h.rt.memory_footprint();
-  EXPECT_EQ(after.touched_pes, before.touched_pes);
-  EXPECT_EQ(after.collection_bytes, before.collection_bytes);
-  EXPECT_EQ(h.rt.collection(sim.pieces().id()).pe.touched(), slots);
-}
-
 // ---- LULESH proxy -----------------------------------------------------------------
 
 TEST(Lulesh, RunsAndIsDeterministic) {

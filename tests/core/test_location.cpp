@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "runtime/charm.hpp"
 
 #include "test_util.hpp"
@@ -28,6 +32,7 @@ class Roamer : public charm::ArrayElement<Roamer, std::int32_t> {
     charm::charge(0.5e-6);
   }
   void hop(const Msg& m) { migrate_to(m.v); }
+  void die(const Msg&) { charm::runtime().destroy_self(); }
   void on_migrated() override { ++migrations_seen; }
 
   void pup(pup::Er& p) override {
@@ -39,6 +44,42 @@ class Roamer : public charm::ArrayElement<Roamer, std::int32_t> {
 };
 
 using charmtest::Harness;
+
+// Location-record invariant (DESIGN.md §15), checked at a quiescent point:
+// on every PE, each record points at the element `elems` holds for its
+// index (or at none); once a PE's records are built, every element it hosts
+// has one; and Collection::find (a record probe) agrees with a linear scan
+// of `elems` for every index in [0, nelems).
+void expect_records_consistent(charm::Collection& c, int nelems) {
+  auto check_records = [&c] {
+    c.pe.for_each_touched([](std::size_t p, charm::PeLocal& pl) {
+      pl.records.for_each([&](const charm::ObjIndex& ix, const charm::LocRecord& r) {
+        auto it = pl.elems.find(ix);
+        EXPECT_EQ(pl.here(r), it == pl.elems.end() ? nullptr : it->second.get())
+            << "PE " << p << " index " << charm::to_string(ix);
+      });
+      if (!pl.records_built) return;
+      EXPECT_EQ(pl.hosted.size(), pl.elems.size()) << "PE " << p;
+      for (const auto& [ix, obj] : pl.elems) {
+        const charm::LocRecord* r = pl.records.find(ix);
+        ASSERT_NE(r, nullptr) << "PE " << p << " index " << charm::to_string(ix);
+        EXPECT_EQ(pl.here(*r), obj.get());
+      }
+    });
+  };
+  check_records();
+  for (int pe = 0; pe < static_cast<int>(c.pe.size()); ++pe) {
+    for (int i = 0; i < nelems; ++i) {
+      const charm::ObjIndex ix = charm::IndexTraits<std::int32_t>::encode(i);
+      charm::ArrayElementBase* scanned = nullptr;
+      if (const charm::PeLocal* pl = c.local_if(pe))
+        for (const auto& [k, obj] : pl->elems)
+          if (k == ix) scanned = obj.get();
+      EXPECT_EQ(c.find(pe, ix), scanned) << "PE " << pe << " index " << i;
+    }
+  }
+  check_records();  // the probes above built every touched PE's records
+}
 
 TEST(Location, ElementSeededAwayFromHomeIsReachable) {
   Harness h(8);
@@ -154,13 +195,22 @@ TEST(Location, RebuildLocationTablesAfterManualMoves) {
     for (int i = 0; i < 12; ++i) arr[i].send<&Roamer::hop>(Msg{(i + 1) % 4});
   });
   h.machine.run();
+  charm::Collection& c = h.rt.collection(arr.id());
+  expect_records_consistent(c, 12);
   h.rt.rebuild_location_tables();
+  for (int pe = 0; pe < 4; ++pe) {
+    if (const charm::PeLocal* pl = c.local_if(pe)) {
+      EXPECT_EQ(pl->records.size(), 0u);
+    }
+  }
+  expect_records_consistent(c, 12);
   h.machine.resume();
   // All still reachable after rebuild.
   h.rt.on_pe(0, [&] {
     for (int i = 0; i < 12; ++i) arr[i].send<&Roamer::recv>(Msg{100 + i});
   });
   h.machine.run();
+  expect_records_consistent(c, 12);
   for (int i = 0; i < 12; ++i) {
     Roamer* r = h.find<Roamer>(arr.id(), i);
     ASSERT_NE(r, nullptr) << i;
@@ -169,30 +219,66 @@ TEST(Location, RebuildLocationTablesAfterManualMoves) {
 }
 
 // Property sweep: random migration/messaging interleavings always deliver
-// every message exactly once.
+// every message exactly once.  Between rounds the sequence also destroys
+// elements and pulls one out and re-seeds it elsewhere (the FT rollback
+// path), and every quiescent point checks the location-record invariant.
 class LocationStress : public ::testing::TestWithParam<int> {};
 
 TEST_P(LocationStress, RandomMigrationsNeverLoseMessages) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   Harness h(8);
   auto arr = ArrayProxy<Roamer>::create(h.rt);
+  charm::Collection& c = h.rt.collection(arr.id());
   const int nelems = 6;
   for (int i = 0; i < nelems; ++i) arr.seed(i, i % 8);
   sim::Rng rng(seed);
+  std::vector<int> live;
+  for (int i = 0; i < nelems; ++i) live.push_back(i);
+  auto pick_live = [&] {
+    return live[static_cast<std::size_t>(rng.next_below(live.size()))];
+  };
   int sends = 0;
-  h.rt.on_pe(0, [&] {
-    for (int step = 0; step < 120; ++step) {
-      const int target = static_cast<int>(rng.next_below(nelems));
-      if (rng.next_double() < 0.25) {
-        arr[target].send<&Roamer::hop>(Msg{static_cast<int>(rng.next_below(8))});
-      } else {
-        arr[target].send<&Roamer::recv>(Msg{sends++});
+  int delivered = 0;  // messages logged by elements destroyed along the way
+  for (int round = 0; round < 4; ++round) {
+    h.rt.on_pe(0, [&] {
+      for (int step = 0; step < 30; ++step) {
+        const int target = pick_live();
+        if (rng.next_double() < 0.25) {
+          arr[target].send<&Roamer::hop>(Msg{static_cast<int>(rng.next_below(8))});
+        } else {
+          arr[target].send<&Roamer::recv>(Msg{sends++});
+        }
       }
+    });
+    h.machine.run();
+    h.machine.resume();
+    expect_records_consistent(c, nelems);
+
+    const double u = rng.next_double();
+    const int victim = pick_live();
+    if (u < 0.35 && live.size() > 2) {
+      // Destroy: the element's log is final at quiescence.
+      delivered += static_cast<int>(h.find<Roamer>(arr.id(), victim)->log.size());
+      h.rt.on_pe(0, [&] { arr[victim].send<&Roamer::die>(Msg{}); });
+      h.machine.run();
+      h.machine.resume();
+      live.erase(std::find(live.begin(), live.end(), victim));
+      EXPECT_EQ(h.find<Roamer>(arr.id(), victim), nullptr);
+    } else if (u < 0.7) {
+      // FT rollback shape: extract without protocol, re-seed on another PE,
+      // and (like a restore) sometimes rebuild the location tables.
+      int from = -1;
+      ASSERT_NE(h.find<Roamer>(arr.id(), victim, &from), nullptr);
+      const charm::ObjIndex ix = charm::IndexTraits<std::int32_t>::encode(victim);
+      std::unique_ptr<charm::ArrayElementBase> obj = h.rt.extract_local(arr.id(), ix, from);
+      ASSERT_NE(obj, nullptr);
+      expect_records_consistent(c, nelems);
+      h.rt.seed_element(arr.id(), ix, std::move(obj), static_cast<int>(rng.next_below(8)));
+      if (rng.next_double() < 0.5) h.rt.rebuild_location_tables();
     }
-  });
-  h.machine.run();
-  int delivered = 0;
-  for (int i = 0; i < nelems; ++i) {
+    expect_records_consistent(c, nelems);
+  }
+  for (int i : live) {
     Roamer* r = h.find<Roamer>(arr.id(), i);
     ASSERT_NE(r, nullptr);
     delivered += static_cast<int>(r->log.size());
