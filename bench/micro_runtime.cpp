@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the runtime substrate itself:
 // PUP throughput, emulator event rate, point-send + location-lookup paths,
 // reduction latency growth with PE count, and TRAM aggregation ablation;
-// plus the Barnes gravity kernel against its body-major predecessor, and the
-// flat location-record probe against the node map it replaced.
+// plus the Barnes gravity kernel against its body-major predecessor, the
+// flat location-record probe against the node map it replaced, and the
+// Jacobi row sweep against its per-cell predecessor.
 //
 // These measure HOST performance of the emulator and runtime data paths
 // (events/sec), plus virtual-time ablations (reduction latency, TRAM factor).
@@ -23,6 +24,7 @@
 
 #include "lb/load_db.hpp"
 #include "miniapps/barnes/barnes.hpp"
+#include "miniapps/stencil/stencil.hpp"
 #include "runtime/charm.hpp"
 #include "runtime/location_records.hpp"
 #include "sim/rng.hpp"
@@ -639,6 +641,91 @@ void BM_LocationProbeNodeMap(benchmark::State& state) {
   probe_loop(state, shuffled(keys), [&](const ObjIndex& k) { return cache.find(k)->second; });
 }
 BENCHMARK(BM_LocationProbeNodeMap)->Arg(1024);
+
+// ---- Jacobi row sweep (DESIGN.md §16) --------------------------------------
+//
+// One sweep of an interior n x n tile with all four ghost strips present.
+// BM_StencilSweep runs the production row kernel; BM_StencilSweepCellLoop is
+// the per-cell loop with edge branches it replaced, kept only here as the
+// same-run reference.  Both produce the same bits (the oracle test in
+// tests/apps/test_stencil_pdes.cpp), so the ns_per_cell ratio is the
+// kernel's speed-up alone.
+
+struct SweepTile {
+  int n;
+  std::vector<double> u, unew, ghosts[4];
+  explicit SweepTile(int cells) : n(cells), unew(static_cast<std::size_t>(cells * cells)) {
+    sim::Rng rng(5);
+    u.resize(unew.size());
+    for (double& x : u) x = rng.next_double();
+    for (std::vector<double>& g : ghosts) {
+      g.resize(static_cast<std::size_t>(cells));
+      for (double& x : g) x = rng.next_double();
+    }
+  }
+};
+
+template <class Sweep>
+void sweep_loop(benchmark::State& state, const SweepTile& t, Sweep&& sweep) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    double delta = sweep();
+    benchmark::DoNotOptimize(delta);
+    benchmark::ClobberMemory();
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  const double cells = static_cast<double>(state.iterations()) * static_cast<double>(t.n * t.n);
+  state.SetItemsProcessed(static_cast<std::int64_t>(cells));
+  state.counters["ns_per_cell"] = std::chrono::duration<double, std::nano>(t1 - t0).count() / cells;
+}
+
+void BM_StencilSweep(benchmark::State& state) {
+  SweepTile t(static_cast<int>(state.range(0)));
+  stencil::kernel::Side sides[4];
+  for (int s = 0; s < 4; ++s) sides[s].ghost = t.ghosts[s].data();
+  sweep_loop(state, t, [&] {
+    return stencil::kernel::sweep(t.u.data(), t.unew.data(), t.n, t.n, sides);
+  });
+}
+BENCHMARK(BM_StencilSweep)->Arg(32);
+
+void BM_StencilSweepCellLoop(benchmark::State& state) {
+  SweepTile t(static_cast<int>(state.range(0)));
+  const int W = t.n, H = t.n;
+  auto at = [W](const std::vector<double>& v, int i, int j) {
+    return v[static_cast<std::size_t>(j * W + i)];
+  };
+  sweep_loop(state, t, [&] {
+    // Tile (1, 1) of a 3 x 3 grid: every edge reads a ghost.
+    const int mx = 1, my = 1, tx = 3, ty = 3;
+    auto ghost_or = [&](int side, int k, double fallback) {
+      return t.ghosts[side].empty() ? fallback : t.ghosts[side][static_cast<std::size_t>(k)];
+    };
+    double delta = 0;
+    for (int j = 0; j < H; ++j) {
+      for (int i = 0; i < W; ++i) {
+        if (mx == 0 && i == 0) {
+          t.unew[static_cast<std::size_t>(j * W + i)] = at(t.u, i, j);
+          continue;
+        }
+        const double left =
+            i > 0 ? at(t.u, i - 1, j) : (mx > 0 ? ghost_or(0, j, 0.0) : at(t.u, i, j));
+        const double right =
+            i < W - 1 ? at(t.u, i + 1, j) : (mx < tx - 1 ? ghost_or(1, j, 0.0) : at(t.u, i, j));
+        const double down =
+            j > 0 ? at(t.u, i, j - 1) : (my > 0 ? ghost_or(2, i, 0.0) : at(t.u, i, j));
+        const double up =
+            j < H - 1 ? at(t.u, i, j + 1) : (my < ty - 1 ? ghost_or(3, i, 0.0) : at(t.u, i, j));
+        const double v = 0.25 * (left + right + down + up);
+        const double d = v - at(t.u, i, j);
+        delta += d * d;
+        t.unew[static_cast<std::size_t>(j * W + i)] = v;
+      }
+    }
+    return delta;
+  });
+}
+BENCHMARK(BM_StencilSweepCellLoop)->Arg(32);
 
 }  // namespace
 

@@ -51,10 +51,15 @@ void MemCheckpointer::checkpoint(Callback done) {
           copy.col = c.id;
           copy.idx = ix;
           copy.pe = pe;
+          // Size first so the stored copy holds exactly its bytes: a packer
+          // left to grow keeps up to 2x spare capacity per copy (DESIGN.md §16).
+          pup::Sizer sz;
+          obj->pup(sz);
+          copy.bytes.reserve(sz.size());
           pup::Packer pk(copy.bytes);
           obj->pup(pk);
           bytes += static_cast<double>(copy.bytes.size());
-          stage_local_[static_cast<std::size_t>(pe)].push_back(copy);
+          stage_local_[static_cast<std::size_t>(pe)].push_back(std::move(copy));
         }
       }
       stage_bytes_ += static_cast<std::uint64_t>(bytes);
@@ -289,6 +294,16 @@ void MemCheckpointer::begin_restore() {
       rt_.send_control(v, static_cast<std::size_t>(bytes), finish);
     });
   }
+}
+
+std::uint64_t MemCheckpointer::stored_capacity_bytes() const {
+  std::uint64_t total = 0;
+  for (const auto* stores : {&local_, &buddy_}) {
+    for (const std::vector<Copy>& store : *stores) {
+      for (const Copy& copy : store) total += copy.bytes.capacity();
+    }
+  }
+  return total;
 }
 
 std::string MemCheckpointer::format_recovery_log() const {

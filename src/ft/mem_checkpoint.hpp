@@ -80,6 +80,10 @@ class MemCheckpointer {
   }
 
   std::uint64_t checkpoint_bytes() const { return total_bytes_; }
+  /// Heap capacity of every committed local and buddy copy (a diagnostic:
+  /// with exactly-sized copies it is 2 * checkpoint_bytes() while every
+  /// buddy store is valid).
+  std::uint64_t stored_capacity_bytes() const;
   int checkpoints_taken() const { return checkpoints_; }
   int checkpoints_aborted() const { return ckpt_aborted_; }
   bool recovery_pending() const { return !pending_victims_.empty(); }

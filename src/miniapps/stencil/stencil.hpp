@@ -44,6 +44,26 @@ struct GhostMsg {
   }
 };
 
+/// The Jacobi kernel (DESIGN.md §16).  Tiles are row-major, w cells wide
+/// and h high; sides are indexed like GhostMsg::side (0=left 1=right 2=down
+/// 3=up).
+namespace kernel {
+
+/// What one tile side reads beyond its edge cells.
+struct Side {
+  bool boundary = false;          ///< global boundary: an edge cell reads itself
+  const double* ghost = nullptr;  ///< the neighbour's strip; missing reads 0.0
+};
+
+/// One sweep u -> unew: every cell becomes
+///   v = 0.25 * (left + right + down + up),
+/// in exactly that addition order.  On a left-boundary tile column 0 is held
+/// fixed (copied from u).  Returns the sum of (v - u)^2 over the updated
+/// cells, added in cell order, so it is bit-equal to a plain per-cell loop.
+double sweep(const double* u, double* unew, int w, int h, const Side (&sides)[4]);
+
+}  // namespace kernel
+
 class Tile : public charm::ArrayElement<Tile, Index2D> {
  public:
   Tile() = default;
@@ -61,6 +81,8 @@ class Tile : public charm::ArrayElement<Tile, Index2D> {
   std::size_t dbg_early() const { return gather_.buffered_steps(); }
   /// Sum of squared updates in the last sweep (convergence diagnostic).
   double last_delta() const { return last_delta_; }
+  /// The tile's current cell values, row-major.
+  const std::vector<double>& values() const { return u_; }
 
   static Callback done_cb;
 

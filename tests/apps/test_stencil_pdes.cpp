@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "miniapps/pdes/pdes.hpp"
 #include "miniapps/stencil/stencil.hpp"
+#include "sim/rng.hpp"
 
 #include "test_util.hpp"
 
@@ -83,6 +89,92 @@ TEST(Stencil, InterferenceSlowsIterationsAndLbRecovers) {
   const double t_nolb = run(false);
   EXPECT_LT(t_lb, t_nolb * 0.9)
       << "speed-aware LB must migrate work off the interfered PE";
+}
+
+// ---- Jacobi kernel (DESIGN.md §16) ---------------------------------------------
+
+/// The per-cell loop Tile::sweep ran before the row kernel, kept as the
+/// oracle: tile (mx, my) of a tx x ty grid, W x H cells, `ghosts` per side
+/// (an empty strip is missing and reads 0.0).  Returns the squared-update sum.
+double cell_loop_sweep(const std::vector<double>& u, std::vector<double>& unew, int W, int H,
+                       int mx, int my, int tx, int ty, const std::vector<double> (&ghosts)[4]) {
+  auto at = [W](const std::vector<double>& v, int i, int j) {
+    return v[static_cast<std::size_t>(j * W + i)];
+  };
+  auto ghost_or = [&](int side, int k, double fallback) {
+    return ghosts[side].empty() ? fallback : ghosts[side][static_cast<std::size_t>(k)];
+  };
+  double delta = 0;
+  for (int j = 0; j < H; ++j) {
+    for (int i = 0; i < W; ++i) {
+      double& out = unew[static_cast<std::size_t>(j * W + i)];
+      if (mx == 0 && i == 0) {
+        out = at(u, i, j);
+        continue;
+      }
+      const double left = i > 0 ? at(u, i - 1, j) : (mx > 0 ? ghost_or(0, j, 0.0) : at(u, i, j));
+      const double right =
+          i < W - 1 ? at(u, i + 1, j) : (mx < tx - 1 ? ghost_or(1, j, 0.0) : at(u, i, j));
+      const double down = j > 0 ? at(u, i, j - 1) : (my > 0 ? ghost_or(2, i, 0.0) : at(u, i, j));
+      const double up =
+          j < H - 1 ? at(u, i, j + 1) : (my < ty - 1 ? ghost_or(3, i, 0.0) : at(u, i, j));
+      const double v = 0.25 * (left + right + down + up);
+      const double d = v - at(u, i, j);
+      delta += d * d;
+      out = v;
+    }
+  }
+  return delta;
+}
+
+TEST(StencilKernel, RowSweepIsBitEqualToCellLoop) {
+  sim::Rng rng(14);
+  // Mixed binary exponents: same-exponent values add exactly, so without
+  // them a changed addition order could go unnoticed.
+  auto fill = [&rng](std::vector<double>& v, std::size_t n) {
+    v.resize(n);
+    for (double& x : v) {
+      const int exponent = static_cast<int>(rng.next_below(17)) - 8;
+      x = std::ldexp(2.0 * rng.next_double() - 1.0, exponent);
+    }
+  };
+  const std::pair<int, int> grids[] = {{3, 3}, {1, 1}, {1, 3}, {3, 1}};
+  const int sizes[] = {1, 2, 3, 5, 32};
+  int cases = 0;
+  for (const auto& [tx, ty] : grids) {
+    for (int mx = 0; mx < tx; ++mx) {
+      for (int my = 0; my < ty; ++my) {
+        const bool neighbour[4] = {mx > 0, mx < tx - 1, my > 0, my < ty - 1};
+        for (int W : sizes) {
+          for (int H : sizes) {
+            // missing == -1: every neighbour's strip arrived; else that side's is absent.
+            for (int missing = -1; missing < 4; ++missing) {
+              if (missing >= 0 && !neighbour[missing]) continue;
+              std::vector<double> u, ghosts[4];
+              fill(u, static_cast<std::size_t>(W * H));
+              stencil::kernel::Side sides[4];
+              for (int s = 0; s < 4; ++s) {
+                sides[s].boundary = !neighbour[s];
+                if (!neighbour[s] || s == missing) continue;
+                fill(ghosts[s], static_cast<std::size_t>(s < 2 ? H : W));
+                sides[s].ghost = ghosts[s].data();
+              }
+              std::vector<double> want(u.size(), -7.0), got(u.size(), -7.0);
+              const double want_delta = cell_loop_sweep(u, want, W, H, mx, my, tx, ty, ghosts);
+              const double got_delta = stencil::kernel::sweep(u.data(), got.data(), W, H, sides);
+              SCOPED_TRACE(::testing::Message() << "grid " << tx << "x" << ty << " tile (" << mx
+                                                << "," << my << ") " << W << "x" << H
+                                                << " missing " << missing);
+              EXPECT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(double)));
+              EXPECT_EQ(0, std::memcmp(&want_delta, &got_delta, sizeof(double)));
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 1000);
 }
 
 // ---- PDES / PHOLD ---------------------------------------------------------------

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "ft/checkpoint.hpp"
 #include "ft/mem_checkpoint.hpp"
+#include "miniapps/stencil/stencil.hpp"
 #include "runtime/charm.hpp"
 
 #include "test_util.hpp"
@@ -318,6 +320,88 @@ TEST(MemCheckpoint, SimultaneousAdjacentFailuresAreCleanlyUnrecoverable) {
   });
   h.machine.run();
   EXPECT_TRUE(threw);
+}
+
+TEST(MemCheckpoint, StoredCopiesAreExactlySized) {
+  // Packing into a growing buffer keeps up to 2x spare capacity per stored
+  // copy, which shows up as peak RSS; every committed copy must hold exactly
+  // its bytes.  Runs 6 Jacobi iterations, checkpoints, runs 4 more; with
+  // `fail`, PE 2 then dies and the 4 iterations replay from the checkpoint.
+  struct Out {
+    std::uint64_t packed = 0, ckpt_bytes = 0, capacity = 0, capacity_end = 0;
+    std::vector<std::vector<double>> values;
+    std::vector<double> deltas;
+  };
+  auto run = [](bool fail) {
+    Harness h(4);
+    stencil::Params p;
+    p.grid = 36;  // 9 x 12 cells per tile
+    p.tiles_x = 4;
+    p.tiles_y = 3;
+    stencil::Sim sim(h.rt, p);
+    ft::MemCheckpointer ckpt(h.rt);
+    Collection& c = h.rt.collection(sim.tiles().id());
+    Out out;
+    bool done = false;
+    h.rt.on_pe(0, [&] {
+      sim.run(6, Callback::to_function([&](ReductionResult&&) {
+        h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
+          for (int pe = 0; pe < h.rt.npes(); ++pe) {
+            PeLocal* pl = c.local_if(pe);
+            if (pl == nullptr) continue;
+            for (auto& [ix, obj] : pl->elems) {
+              pup::Sizer sz;
+              obj->pup(sz);
+              out.packed += sz.size();
+            }
+          }
+          ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+            out.ckpt_bytes = ckpt.checkpoint_bytes();
+            out.capacity = ckpt.stored_capacity_bytes();
+            sim.run(4, Callback::to_function([&](ReductionResult&&) {
+              if (!fail) {
+                done = true;
+                return;
+              }
+              ckpt.fail_and_recover(2, Callback::to_function([&](ReductionResult&&) {
+                sim.run(4, Callback::to_function([&](ReductionResult&&) { done = true; }));
+              }));
+            }));
+          }));
+        }));
+      }));
+    });
+    h.machine.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(ckpt.recoveries_completed(), fail ? 1 : 0);
+    out.capacity_end = ckpt.stored_capacity_bytes();  // after re-replication, when `fail`
+    out.values.resize(static_cast<std::size_t>(sim.ntiles()));
+    out.deltas.resize(out.values.size());
+    c.for_each_element([&](const ArrayElementBase& e) {
+      const auto& t = static_cast<const stencil::Tile&>(e);
+      const auto k = static_cast<std::size_t>(t.index().x * p.tiles_y + t.index().y);
+      out.values[k] = t.values();
+      out.deltas[k] = t.last_delta();
+    });
+    return out;
+  };
+  const Out twin = run(false);
+  const Out failed = run(true);
+  for (const Out* o : {&twin, &failed}) {
+    EXPECT_GT(o->packed, 0u);
+    EXPECT_EQ(o->ckpt_bytes, o->packed);
+    EXPECT_EQ(o->capacity, 2 * o->ckpt_bytes) << "a local or buddy copy has spare capacity";
+    EXPECT_EQ(o->capacity_end, 2 * o->ckpt_bytes);
+  }
+  ASSERT_EQ(twin.values.size(), failed.values.size());
+  for (std::size_t k = 0; k < twin.values.size(); ++k) {
+    ASSERT_FALSE(twin.values[k].empty()) << k;
+    ASSERT_EQ(twin.values[k].size(), failed.values[k].size()) << k;
+    EXPECT_EQ(0, std::memcmp(twin.values[k].data(), failed.values[k].data(),
+                             twin.values[k].size() * sizeof(double)))
+        << "tile " << k;
+    EXPECT_EQ(0, std::memcmp(&twin.deltas[k], &failed.deltas[k], sizeof(double))) << k;
+  }
 }
 
 // Parameterized: recovery works no matter which PE dies.
