@@ -29,55 +29,67 @@ int Core::resolve_dest(int pe, const ObjIndex& idx) {
 }
 
 int Core::better_location(int pe, const ObjIndex& idx) {
-  Collection& c = rt_.collection(col_);
-  const PeLocal* pl = c.local_if(pe);
-  int better = kInvalidPe;
-  if (rt_.home_pe(idx) == pe) {
-    if (pl != nullptr) {
-      auto it = pl->home.find(idx);
-      if (it != pl->home.end() && !it->second.in_transit &&
-          it->second.location != kInvalidPe && it->second.location != pe) {
-        better = it->second.location;
-      }
-    }
-  } else {
-    const int cached = c.locate(pe, idx).cached_pe;
-    if (cached != pe) better = cached;
-    if (better == kInvalidPe) better = rt_.home_pe(idx);
-  }
-  return better;
+  // Off the home, a miss means the sender's knowledge was stale: bounce to
+  // the home, which re-routes the item and teaches its sender again (as
+  // handle_point_miss does).  Following this PE's own learned record instead
+  // could hand the item to a PE whose record points back here.
+  const int home = rt_.home_pe(idx);
+  if (home != pe) return home;
+  const PeLocal* pl = rt_.collection(col_).local_if(pe);
+  if (pl == nullptr) return kInvalidPe;
+  auto it = pl->home.find(idx);
+  if (it == pl->home.end() || it->second.in_transit) return kInvalidPe;
+  return it->second.location;  // kInvalidPe or pe: the caller parks the item
 }
 
-void Core::local_miss(int pe, const ObjIndex& idx, EntryId ep,
-                      std::vector<std::byte> payload, bool flush_through) {
-  const int better = better_location(pe, idx);
-  if (better != kInvalidPe && better != pe) {
-    route_packed(pe, idx, ep, better, payload.data(), payload.size(), flush_through);
-    rt_.release_payload(std::move(payload));
+void Core::local_miss(int pe, const FrameHead& head, std::vector<std::byte> payload,
+                      bool flush_through) {
+  ++misdelivered_;
+  const int better = better_location(pe, head.idx);
+  if (better == kInvalidPe || better == pe) {
+    // Mid-migration or unknown: the point-send protocol buffers at the home
+    // until the element lands.
+    rt_.send_point(col_, head.idx, head.ep, std::move(payload));
     return;
   }
-  // Mid-migration or unknown: the point-send protocol buffers at the home
-  // until the element lands.
-  rt_.send_point(col_, idx, ep, std::move(payload));
+  const int src = head.src_pe;
+  if (rt_.home_pe(head.idx) == pe && src != pe && src != better) {
+    // The home teaches the inserting PE where the element lives, on the
+    // aggregated path (the runtime's handle_point_miss does the same with a
+    // control message).
+    ++updates_;
+    const std::int32_t owner = better;
+    route_packed(pe, FrameHead{head.idx, kLocationUpdate, src, pe, sizeof owner},
+                 reinterpret_cast<const std::byte*>(&owner), flush_through);
+  }
+  FrameHead fwd = head;
+  fwd.dest_pe = better;
+  fwd.len = static_cast<std::uint32_t>(payload.size());
+  route_packed(pe, fwd, payload.data(), flush_through);
+  rt_.release_payload(std::move(payload));
 }
 
-void Core::route_packed(int pe, const ObjIndex& idx, EntryId ep, int dest,
-                        const std::byte* data, std::size_t len,
+void Core::route_packed(int pe, const FrameHead& head, const std::byte* data,
                         bool flush_through) {
-  const int peer = rt_.machine().topology().next_on_route(pe, dest);
+  const int peer = rt_.machine().topology().next_on_route(pe, head.dest_pe);
   Buffer& buf = buffer_for(pe, peer);
-  FrameHead head{};
-  head.idx = idx;
-  head.ep = ep;
-  head.dest_pe = dest;
-  head.len = static_cast<std::uint32_t>(len);
   const std::size_t at = buf.frames.size();
-  buf.frames.resize(at + sizeof(FrameHead) + len);
+  buf.frames.resize(at + sizeof(FrameHead) + head.len);
+  if (head.len != 0) std::memcpy(buf.frames.data() + at + sizeof(FrameHead), data, head.len);
+  close_frame(pe, peer, buf, at, head, flush_through);
+}
+
+void Core::close_frame(int pe, int peer, Buffer& buf, std::size_t at, FrameHead head,
+                       bool flush_through) {
+  head.len = static_cast<std::uint32_t>(buf.frames.size() - at - sizeof(FrameHead));
   std::memcpy(buf.frames.data() + at, &head, sizeof(FrameHead));
-  if (len != 0) std::memcpy(buf.frames.data() + at + sizeof(FrameHead), data, len);
-  buf.payload_bytes += len;
+  buf.payload_bytes += head.len;
   ++buf.count;
-  if (buf.count >= params_.buffer_items) flush_buffer(pe, peer, flush_through);
+  if (head.ep == kLocationUpdate) {
+    ++buf.updates;  // rides along: an update never flushes a buffer itself
+    return;
+  }
+  if (buf.count - buf.updates >= params_.buffer_items) flush_buffer(pe, peer, flush_through);
 }
 
 Core::Buffer& Core::buffer_for(int pe, int peer) {
@@ -90,27 +102,6 @@ Core::Buffer& Core::buffer_for(int pe, int peer) {
   return it->second;
 }
 
-void Core::insert(const ObjIndex& dest_idx, EntryId ep, std::vector<std::byte> payload) {
-  const int pe = rt_.machine().current_pe();
-  ++items_;
-  const int dest = resolve_dest(pe, dest_idx);
-  if (dest == pe) {
-    Collection& c = rt_.collection(col_);
-    ArrayElementBase* elem = c.find(pe, dest_idx);
-    rt_.charge(rt_.config().deliver_cost);
-    if (elem != nullptr) {
-      rt_.deliver_local(c, *elem, ep, payload);
-      rt_.release_payload(std::move(payload));
-      return;
-    }
-    local_miss(pe, dest_idx, ep, std::move(payload), /*flush_through=*/false);
-    return;
-  }
-  route_packed(pe, dest_idx, ep, dest, payload.data(), payload.size(),
-               /*flush_through=*/false);
-  rt_.release_payload(std::move(payload));
-}
-
 void Core::flush_buffer(int pe, int peer, bool flush_through) {
   PeState* state = pes_.probe(static_cast<std::size_t>(pe));
   if (state == nullptr) return;  // never buffered anything: nothing to flush
@@ -121,7 +112,7 @@ void Core::flush_buffer(int pe, int peer, bool flush_through) {
 
   const std::size_t bytes = buf.payload_bytes + buf.count * params_.item_overhead;
   ++batches_;
-  routed_items_ += buf.count;
+  routed_items_ += buf.count - buf.updates;
   batch_bytes_ += bytes;
 
   rt_.send_control(peer, bytes, [this, peer, flush_through, buf = std::move(buf)]() mutable {
@@ -137,19 +128,21 @@ void Core::deliver_batch(int pe, Buffer buf, bool flush_through) {
     std::memcpy(&head, buf.frames.data() + off, sizeof(FrameHead));
     const std::byte* data = buf.frames.data() + off + sizeof(FrameHead);
     off += sizeof(FrameHead) + head.len;
-    if (head.dest_pe == pe) {
-      ArrayElementBase* elem = c.find(pe, head.idx);
+    if (head.dest_pe != pe) {
+      route_packed(pe, head, data, flush_through);
+    } else if (head.ep == kLocationUpdate) {
+      std::int32_t owner;
+      std::memcpy(&owner, data, sizeof owner);
+      // A shrink may have retired the owner while the update was in flight.
+      if (owner < rt_.active_pes()) c.learn_location(pe, head.idx, owner);
+    } else if (ArrayElementBase* elem = c.find(pe, head.idx)) {
       rt_.charge(rt_.config().deliver_cost);
-      if (elem != nullptr) {
-        rt_.deliver_local(c, *elem, head.ep, data, head.len);
-      } else {
-        std::vector<std::byte> payload = rt_.acquire_payload(head.len);
-        payload.insert(payload.end(), data, data + head.len);
-        local_miss(pe, head.idx, head.ep, std::move(payload), flush_through);
-      }
+      rt_.deliver_local(c, *elem, head.ep, data, head.len);
     } else {
-      route_packed(pe, head.idx, head.ep, head.dest_pe, data, head.len,
-                   flush_through);
+      rt_.charge(rt_.config().deliver_cost);
+      std::vector<std::byte> payload = rt_.acquire_payload(head.len);
+      payload.insert(payload.end(), data, data + head.len);
+      local_miss(pe, head, std::move(payload), flush_through);
     }
   }
   rt_.release_payload(std::move(buf.frames));

@@ -15,6 +15,14 @@
 // Same-PE destinations skip packing entirely and go through the runtime's
 // typed delivery.
 //
+// TRAM follows the runtime's location protocol (§II-D, DESIGN.md §17): a
+// sender routes on what it knows (element here, learned location, else the
+// hashed home).  When an item reaches the element's home and the element
+// lives elsewhere, the home re-routes it and appends a location-update frame
+// addressed to the item's inserting PE, so later items go straight to the
+// owner.  Updates ride the same aggregation buffers and flushes as data
+// items: learning costs no message of its own.
+//
 // Typed facade:
 //   charm::tram::Stream<&Lp::recv_event> stream(rt, lps, {.buffer_items=64});
 //   stream.send(dest_index, event);            // from any handler
@@ -33,7 +41,7 @@
 namespace charm::tram {
 
 struct Params {
-  std::size_t buffer_items = 64;  ///< flush threshold per peer buffer
+  std::size_t buffer_items = 64;  ///< flush threshold per peer buffer (data items)
   std::size_t item_overhead = 8;  ///< modeled per-item framing bytes
 };
 
@@ -51,6 +59,7 @@ class Core {
     const int pe = rt_.machine().current_pe();
     ++items_;
     const int dest = resolve_dest(pe, dest_idx);
+    const FrameHead head{dest_idx, ep, dest, pe};
     if (dest == pe) {
       Collection& c = rt_.collection(col_);
       ArrayElementBase* elem = c.find(pe, dest_idx);
@@ -59,30 +68,17 @@ class Core {
         rt_.deliver_local_typed(c, *elem, ep, inv, item);
         return;
       }
-      local_miss(pe, dest_idx, ep, rt_.pack_pooled(item), /*flush_through=*/false);
+      local_miss(pe, head, rt_.pack_pooled(item), /*flush_through=*/false);
       return;
     }
+    // Reserve the frame head and pup the item in place behind it.
     const int peer = rt_.machine().topology().next_on_route(pe, dest);
     Buffer& buf = buffer_for(pe, peer);
-    // Reserve the frame head, pup the item in place, then patch the length.
-    const std::size_t head_at = buf.frames.size();
-    buf.frames.resize(head_at + sizeof(FrameHead));
+    const std::size_t at = buf.frames.size();
+    buf.frames.resize(at + sizeof(FrameHead));
     pup::pack_append(buf.frames, item);
-    FrameHead head{};
-    head.idx = dest_idx;
-    head.ep = ep;
-    head.dest_pe = dest;
-    head.len = static_cast<std::uint32_t>(buf.frames.size() - head_at -
-                                          sizeof(FrameHead));
-    std::memcpy(buf.frames.data() + head_at, &head, sizeof(FrameHead));
-    buf.payload_bytes += head.len;
-    ++buf.count;
-    if (buf.count >= params_.buffer_items)
-      flush_buffer(pe, peer, /*flush_through=*/false);
+    close_frame(pe, peer, buf, at, head, /*flush_through=*/false);
   }
-
-  /// Insert an already-packed item (legacy / type-erased entry point).
-  void insert(const ObjIndex& dest_idx, EntryId ep, std::vector<std::byte> payload);
 
   /// Flush every buffer on every PE and cascade through intermediate hops
   /// (phase end).  Completion is observable via Runtime::start_quiescence.
@@ -90,15 +86,22 @@ class Core {
 
   Runtime& rt() const { return rt_; }
 
+  /// Data items inserted (location updates excluded).
   std::uint64_t items_inserted() const { return items_; }
   std::uint64_t batches_sent() const { return batches_; }
-  /// Mean items per batch — the aggregation factor TRAM achieves.
+  /// Mean data items per batch — the aggregation factor TRAM achieves.
   double aggregation() const {
     return batches_ ? static_cast<double>(routed_items_) / static_cast<double>(batches_) : 0.0;
   }
-  /// Modeled wire bytes of all batch sends (frame payloads + per-item
-  /// overhead; the Envelope header is charged by send_control on top).
+  /// Modeled wire bytes of all batch sends (frame payloads + per-frame
+  /// overhead, location updates included; the Envelope header is charged by
+  /// send_control on top).
   std::uint64_t batch_bytes() const { return batch_bytes_; }
+  /// Location-update frames a home appended for a misdelivered item's sender.
+  std::uint64_t location_updates() const { return updates_; }
+  /// Items that reached a PE not hosting their element (re-routed there or
+  /// handed to the point-send protocol).
+  std::uint64_t misdelivered() const { return misdelivered_; }
   /// Control-plane traffic: the flush_all fan-out messages that tell every
   /// PE to drain its buffers, and their modeled bytes.  Together with
   /// batch_bytes this accounts for every byte TRAM puts on the wire, so
@@ -107,39 +110,55 @@ class Core {
   std::uint64_t control_bytes() const { return control_bytes_; }
 
  private:
-  /// Per-item frame header preceding the pupped bytes in a batch buffer.
+  /// Entry id of a location-update frame: its payload is the owner PE
+  /// (4 bytes) of the frame's index, for the PE the frame is addressed to.
+  static constexpr EntryId kLocationUpdate = -2;
+
+  /// Per-frame header preceding the pupped bytes in a batch buffer.
   /// Buffers never leave the (sequentially emulated) process, so host layout
   /// and padding are fine.
   struct FrameHead {
     ObjIndex idx{};
     EntryId ep = -1;
     std::int32_t dest_pe = 0;
+    std::int32_t src_pe = 0;  ///< inserting PE, kept across relay hops
     std::uint32_t len = 0;
   };
   /// One aggregation buffer: concatenated frames plus running totals.
   struct Buffer {
     std::vector<std::byte> frames;
-    std::size_t count = 0;
-    std::size_t payload_bytes = 0;  ///< pup bytes only, excluding frame heads
+    std::size_t count = 0;          ///< frames, location updates included
+    std::size_t updates = 0;        ///< location-update frames among them
+    std::size_t payload_bytes = 0;  ///< frame payloads only, excluding frame heads
   };
   struct PeState {
     std::unordered_map<int, Buffer> buffers;  // keyed by peer PE
   };
 
-  /// Destination PE from the sender's location knowledge: local table, cache,
-  /// home record (when this PE is the home), else the home PE.
+  /// Destination PE from the sender's location knowledge: element here or a
+  /// learned location, the home record (when this PE is the home), else the
+  /// home PE.
   int resolve_dest(int pe, const ObjIndex& idx);
-  /// A better owner guess after a local delivery miss (mirrors the runtime's
-  /// own point-delivery consult of home table / location cache).
+  /// Where an item goes after a local delivery miss, as the runtime's
+  /// handle_point_miss decides it: off the home, the home; at the home, the
+  /// home record's location (kInvalidPe or pe when the element is in transit
+  /// or not placed yet).
   int better_location(int pe, const ObjIndex& idx);
-  /// Local delivery missed: re-route on the aggregated path when a better
-  /// location is known, else hand over to the point-send protocol (which
-  /// buffers at the home until the element lands).
-  void local_miss(int pe, const ObjIndex& idx, EntryId ep,
-                  std::vector<std::byte> payload, bool flush_through);
-  /// Append an already-packed frame toward `dest` and flush on threshold.
-  void route_packed(int pe, const ObjIndex& idx, EntryId ep, int dest,
-                    const std::byte* data, std::size_t len, bool flush_through);
+  /// Local delivery of `head`'s item missed on PE pe: re-route it on the
+  /// aggregated path when a better location is known (the home also teaches
+  /// the inserting PE), else hand it to the point-send protocol, which
+  /// buffers at the home until the element lands.
+  void local_miss(int pe, const FrameHead& head, std::vector<std::byte> payload,
+                  bool flush_through);
+  /// Append a frame with an already-packed head.len-byte payload toward
+  /// head.dest_pe.
+  void route_packed(int pe, const FrameHead& head, const std::byte* data,
+                    bool flush_through);
+  /// Finish the frame whose head was reserved at `at` in `buf` (the peer
+  /// buffer toward head.dest_pe): write the head with the payload length,
+  /// count it, and flush when the buffer holds buffer_items data items.
+  void close_frame(int pe, int peer, Buffer& buf, std::size_t at, FrameHead head,
+                   bool flush_through);
   Buffer& buffer_for(int pe, int peer);
   void flush_buffer(int pe, int peer, bool flush_through);
   void flush_pe(int pe, bool flush_through);
@@ -157,6 +176,8 @@ class Core {
   std::uint64_t batch_bytes_ = 0;
   std::uint64_t control_msgs_ = 0;
   std::uint64_t control_bytes_ = 0;
+  std::uint64_t updates_ = 0;
+  std::uint64_t misdelivered_ = 0;
 };
 
 /// Typed stream bound to one entry method of a chare array.

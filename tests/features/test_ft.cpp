@@ -5,6 +5,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <string>
+
+#include <unistd.h>
 
 #include "ft/checkpoint.hpp"
 #include "ft/mem_checkpoint.hpp"
@@ -55,9 +59,17 @@ Cell* find_cell(Runtime& rt, CollectionId col, std::int32_t ix, int* pe_out = nu
   return nullptr;
 }
 
-const char* kCkptPath = "/tmp/charmlike_test.ckpt";
+/// A checkpoint file of the running test's own (test name plus pid), so
+/// tests that run in parallel under ctest never share one.
+std::string ckpt_path() {
+  const ::testing::TestInfo* t = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string name = std::string("charmlike_") + t->test_suite_name() + "." + t->name() +
+                           "." + std::to_string(::getpid()) + ".ckpt";
+  return (std::filesystem::temp_directory_path() / name).string();
+}
 
 TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
+  const std::string path = ckpt_path();
   const int n = 24;
   {
     Harness h(6);
@@ -70,7 +82,7 @@ TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
       arr.broadcast<&Cell::work>(Msg{4});
       // Checkpoint at the step boundary: wait until the work has landed.
       h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
-        ft::checkpoint_to_file(h.rt, kCkptPath,
+        ft::checkpoint_to_file(h.rt, path,
                                Callback::to_function([&](ReductionResult&&) {
                                  ckpt_done = true;
                                }));
@@ -83,7 +95,7 @@ TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
     // Restart on 4 PEs (original run used 6).
     Harness h(4);
     auto arr = ArrayProxy<Cell>::create(h.rt);
-    const std::size_t restored = ft::restart_from_file(h.rt, kCkptPath);
+    const std::size_t restored = ft::restart_from_file(h.rt, path);
     EXPECT_EQ(restored, static_cast<std::size_t>(n));
     EXPECT_EQ(h.rt.collection(arr.id()).total_elements, n);
     for (int i = 0; i < n; ++i) {
@@ -98,11 +110,12 @@ TEST(DiskCheckpoint, RestartOnDifferentPeCountPreservesState) {
     h.machine.run();
     EXPECT_EQ(find_cell(h.rt, arr.id(), 0)->steps, 8);
   }
-  std::remove(kCkptPath);
+  std::remove(path.c_str());
 }
 
 TEST(DiskCheckpoint, CheckpointTimeScalesWithDataPerPe) {
-  auto ckpt_time = [](int npes) {
+  const std::string path = ckpt_path();
+  auto ckpt_time = [&path](int npes) {
     Harness h(npes);
     auto arr = ArrayProxy<Cell>::create(h.rt);
     for (int i = 0; i < 64; ++i) arr.seed(i, i % npes);
@@ -111,7 +124,7 @@ TEST(DiskCheckpoint, CheckpointTimeScalesWithDataPerPe) {
       arr.broadcast<&Cell::init>();
       h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
         t0 = charm::now();
-        ft::checkpoint_to_file(h.rt, kCkptPath,
+        ft::checkpoint_to_file(h.rt, path,
                                Callback::to_function([&](ReductionResult&&) {
                                  t1 = charm::now();
                                }));
@@ -122,7 +135,7 @@ TEST(DiskCheckpoint, CheckpointTimeScalesWithDataPerPe) {
   };
   // More PEs => less data per PE => faster parallel checkpoint (Fig 8 right).
   EXPECT_GT(ckpt_time(2), ckpt_time(16));
-  std::remove(kCkptPath);
+  std::remove(path.c_str());
 }
 
 TEST(MemCheckpoint, CheckpointAndRecoverFromFailure) {
@@ -204,6 +217,7 @@ TEST(MemCheckpoint, FailWithoutCheckpointThrows) {
 
 TEST(MemCheckpoint, InMemoryFasterThanDisk) {
   // The motivation for double in-memory checkpointing (§III-B).
+  const std::string path = ckpt_path();
   Harness h(4);
   auto arr = ArrayProxy<Cell>::create(h.rt);
   for (int i = 0; i < 32; ++i) arr.seed(i, i % 4);
@@ -215,7 +229,7 @@ TEST(MemCheckpoint, InMemoryFasterThanDisk) {
     mem.checkpoint(Callback::to_function([&](ReductionResult&&) {
       t_mem = charm::now() - t0;
       const double t1 = charm::now();
-      ft::checkpoint_to_file(h.rt, kCkptPath,
+      ft::checkpoint_to_file(h.rt, path,
                              Callback::to_function([&, t1](ReductionResult&&) {
                                t_disk = charm::now() - t1;
                              }));
@@ -225,7 +239,7 @@ TEST(MemCheckpoint, InMemoryFasterThanDisk) {
   ASSERT_GT(t_mem, 0);
   ASSERT_GT(t_disk, 0);
   EXPECT_LT(t_mem, t_disk);
-  std::remove(kCkptPath);
+  std::remove(path.c_str());
 }
 
 TEST(MemCheckpoint, BackToBackFailuresCoalesceIntoOneRecovery) {
