@@ -37,7 +37,6 @@
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/summary.hpp"
 #include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "trace/trace.hpp"
-
 namespace charm::ft {
 
 namespace {
@@ -68,17 +66,17 @@ void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done,
   // Model: every PE packs and writes its share in parallel; completion is a
   // barrier over the slowest PE.
   const double ckpt_begin = rt.now();
+  const double file_bytes = static_cast<double>(blob.size());
   auto remaining = std::make_shared<int>(rt.npes());
   for (int pe = 0; pe < rt.npes(); ++pe) {
     const double cost = params.open_overhead +
                         pe_bytes[static_cast<std::size_t>(pe)] / params.disk_bw;
-    rt.send_control(pe, 32, [&rt, cost, remaining, done, ckpt_begin]() {
+    rt.send_control(pe, 32, [&rt, cost, remaining, done, ckpt_begin, file_bytes]() {
       rt.charge(cost);
       if (--*remaining == 0) {
-        rt.after(rt.my_pe(), rt.tree_wave_latency(), [&rt, done, ckpt_begin]() {
-          if (trace::Tracer* tr = rt.machine().tracer()) {
-            tr->phase_span(trace::Phase::kCheckpoint, /*pe=*/0, ckpt_begin, rt.now());
-          }
+        rt.after(rt.my_pe(), rt.tree_wave_latency(),
+                 [&rt, done, ckpt_begin, file_bytes]() {
+          rt.machine().probe().checkpoint(ckpt_begin, rt.now(), file_bytes);
           done.invoke(rt, ReductionResult{});
         });
       }

@@ -23,8 +23,9 @@ struct DiskParams {
 };
 
 /// Serializes every checkpointable collection to `path`; invokes `done` when
-/// the modeled parallel write completes.  Call from a driver handler while the
-/// application is at a step boundary.
+/// the modeled parallel write completes (reported to the probe as one
+/// checkpoint: span and journal row, value = file bytes).  Call from a driver
+/// handler while the application is at a step boundary.
 void checkpoint_to_file(Runtime& rt, const std::string& path, Callback done,
                         DiskParams params = {});
 

@@ -8,7 +8,6 @@
 
 #include "lb/manager.hpp"
 #include "sim/fault_injector.hpp"
-#include "trace/trace.hpp"
 
 namespace charm::ft {
 
@@ -86,11 +85,8 @@ void MemCheckpointer::checkpoint(Callback done) {
               total_bytes_ = stage_bytes_;
               ++checkpoints_;
               ckpt_in_progress_ = false;
-              if (trace::Tracer* tr = rt_.machine().tracer())
-                tr->phase_span(trace::Phase::kCheckpoint, 0, begin, rt_.now());
-              if (introspect::Monitor* mon = rt_.metrics())
-                mon->journal(introspect::JournalKind::kCheckpoint, rt_.now(), 0,
-                             static_cast<double>(total_bytes_));
+              rt_.machine().probe().checkpoint(begin, rt_.now(),
+                                               static_cast<double>(total_bytes_));
               done.invoke(rt_, ReductionResult{});
             });
           });
@@ -128,10 +124,9 @@ void MemCheckpointer::on_failure(int victim, Callback done) {
   rt_.set_pe_dead(victim, true);
   // Injector-driven failures are journaled by Machine::fail_pe; a direct
   // fail_and_recover() only marks the runtime dead mask, so journal it here.
-  if (!rt_.machine().pe_failed(victim)) {
-    if (introspect::Monitor* mon = rt_.metrics())
-      mon->journal(introspect::JournalKind::kFailure, rt_.now(), victim, 0.0);
-  }
+  if (!rt_.machine().pe_failed(victim))
+    rt_.machine().probe().journal(introspect::JournalKind::kFailure, rt_.now(),
+                                  victim, 0.0);
   // The victim's in-memory state (its local copies and the buddy copies it
   // held for its predecessor) is lost with the process.
   local_[static_cast<std::size_t>(victim)].clear();
@@ -225,12 +220,8 @@ void MemCheckpointer::begin_restore() {
     rt_.after(rt_.my_pe(), params_.barrier_count * 2.0 * rt_.tree_wave_latency(),
               [this, ep, vs]() {
                 if (epoch_ != ep) return;
-                if (trace::Tracer* tr = rt_.machine().tracer())
-                  tr->phase_span(trace::Phase::kRestore, 0, burst_begin_, rt_.now());
-                if (introspect::Monitor* mon = rt_.metrics())
-                  mon->journal(introspect::JournalKind::kRestore, rt_.now(),
-                               static_cast<int>(vs.size()),
-                               rt_.now() - burst_begin_);
+                rt_.machine().probe().restore(burst_begin_, rt_.now(),
+                                              static_cast<int>(vs.size()));
                 RecoveryRecord rec;
                 rec.ordinal = recoveries_;
                 rec.fail_time = burst_begin_;

@@ -36,12 +36,12 @@ void Monitor::attach(sim::Machine& m) {
   detach();
   machine_ = &m;
   reset(m.npes());
-  m.set_metrics(this);
+  m.probe().set_monitor(this);
 }
 
 void Monitor::detach() {
   if (machine_ != nullptr) {
-    machine_->set_metrics(nullptr);
+    machine_->probe().set_monitor(nullptr);
     machine_ = nullptr;
   }
 }

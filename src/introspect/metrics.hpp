@@ -4,7 +4,7 @@
 // at a configurable virtual-time cadence with ZERO virtual-time perturbation.
 //
 // The zero-perturbation contract is the tracer's (DESIGN.md §4), extended to
-// sampling: the Monitor attaches to a sim::Machine by pointer, every hook is
+// sampling: the Monitor attaches to a sim::Machine's probe, every hook is
 // a plain counter update that never calls charge(), and sampling rides the
 // existing Machine::step boundaries — the sampler injects NO events of its
 // own, so the event order, every virtual clock, and every figure series are
@@ -212,7 +212,7 @@ class Monitor {
   /// journal rows) for the "timeseries"/"journal" JSON sections.
   void fill_export(stats::MetricsMeta& out) const;
 
-  // ---- hot-path hooks (called by Machine / Runtime) --------------------
+  // ---- hot-path hooks (called by sim::Probe) ---------------------------
   // None of these charge virtual time; all are O(1) except the snapshot
   // scan (O(P), only at a crossed sample boundary).
 

@@ -7,7 +7,6 @@
 
 #include "lb/manager.hpp"
 #include "runtime/spanning_tree.hpp"
-#include "trace/trace.hpp"
 
 namespace charm {
 
@@ -192,16 +191,7 @@ void Runtime::deliver_here(Envelope env, ArrayElementBase& elem, int pe) {
   pup::Unpacker u(env.payload);
 
   ExecFrame f = begin_exec(elem);
-  const double t0 = machine_.handler_elapsed();
-  einfo.invoke(&elem, u);
-  const double dt = machine_.handler_elapsed() - t0;
-  elem.lb_load_ += dt;
-  if (trace::Tracer* tr = machine_.tracer()) {
-    const double end = machine_.now();
-    tr->entry(pe, env.col, env.ep, end - dt, end);
-  }
-  if (introspect::Monitor* mon = machine_.metrics())
-    mon->on_entry(pe, env.col, env.ep, dt);
+  timed_entry(elem, pe, env.col, env.ep, [&] { einfo.invoke(&elem, u); });
 
   // The payload was fully consumed by the entry invocation above; recycle
   // its capacity before the (rare) destroy/migrate epilogue.
@@ -219,15 +209,7 @@ void Runtime::deliver_local(Collection& c, ArrayElementBase& elem, EntryId ep,
   const int pe = elem.pe_;
 
   ExecFrame f = begin_exec(elem);
-  const double t0 = machine_.handler_elapsed();
-  einfo.invoke(&elem, u);
-  const double dt = machine_.handler_elapsed() - t0;
-  elem.lb_load_ += dt;
-  if (trace::Tracer* tr = machine_.tracer()) {
-    const double end = machine_.now();
-    tr->entry(pe, col, ep, end - dt, end);
-  }
-  if (introspect::Monitor* mon = machine_.metrics()) mon->on_entry(pe, col, ep, dt);
+  timed_entry(elem, pe, col, ep, [&] { einfo.invoke(&elem, u); });
   end_exec(f, col, idx, pe);
   (void)c;
 }
@@ -247,7 +229,7 @@ void Runtime::broadcast_tree_leg(CollectionId col, EntryId ep,
   ++outstanding_;
   ++msgs_sent_;
   bytes_sent_ += wire;
-  if (introspect::Monitor* mon = machine_.metrics()) mon->on_collective(wire);
+  machine_.probe().collective(wire);
   machine_.send(
       abs, wire, priority,
       [this, col, ep, payload, priority, root, relative_rank, abs]() {
@@ -320,8 +302,7 @@ void Runtime::broadcast_apply_leg(
   ++outstanding_;
   ++msgs_sent_;
   bytes_sent_ += Envelope::kHeaderBytes;
-  if (introspect::Monitor* mon = machine_.metrics())
-    mon->on_collective(Envelope::kHeaderBytes);
+  machine_.probe().collective(Envelope::kHeaderBytes);
   machine_.send(
       abs, Envelope::kHeaderBytes, priority,
       [this, col, fn, priority, root, relative_rank, abs]() {
@@ -339,16 +320,7 @@ void Runtime::broadcast_apply_leg(
             charge(cfg_.deliver_cost);
             // Instrument like any delivery: work done in resume_from_sync
             // must show up in the next round's LB measurements.
-            const double t0 = machine_.handler_elapsed();
-            (*fn)(*e);
-            const double dt = machine_.handler_elapsed() - t0;
-            e->lb_load_ += dt;
-            if (trace::Tracer* tr = machine_.tracer()) {
-              const double end = machine_.now();
-              tr->entry(abs, col, /*ep=*/-1, end - dt, end);
-            }
-            if (introspect::Monitor* mon = machine_.metrics())
-              mon->on_entry(abs, col, /*ep=*/-1, dt);
+            timed_entry(*e, abs, col, /*ep=*/-1, [&] { (*fn)(*e); });
           }
         }
         note_message_done();

@@ -18,13 +18,11 @@
 #include <memory>
 #include <vector>
 
-#include "introspect/metrics.hpp"
 #include "pup/pup.hpp"
 #include "runtime/collection.hpp"
 #include "runtime/payload_pool.hpp"
 #include "runtime/registry.hpp"
 #include "sim/machine.hpp"
-#include "trace/trace.hpp"
 
 namespace charm {
 
@@ -218,7 +216,7 @@ class Runtime {
   /// metrics are off (DESIGN.md §11).  Consumers query per-PE utilization,
   /// queue depths, and imbalance mid-run; none of the calls charge virtual
   /// time, so querying never perturbs the simulation.
-  introspect::Monitor* metrics() const { return machine_.metrics(); }
+  introspect::Monitor* metrics() const { return machine_.probe().monitor(); }
 
   // ---- statistics ------------------------------------------------------------
 
@@ -373,6 +371,19 @@ class Runtime {
     exec_migrate_to_ = kInvalidPe;
     return f;
   }
+  /// Runs one entry-method invocation on `elem` (`invoke`), adds the virtual
+  /// time it charged to the element's LB load, and reports it to the probe.
+  /// Every delivery path (packed, typed, local broadcast, broadcast_apply)
+  /// instruments through here.
+  template <class Invoke>
+  void timed_entry(ArrayElementBase& elem, int pe, CollectionId col, EntryId ep,
+                   Invoke&& invoke) {
+    const double t0 = machine_.handler_elapsed();
+    invoke();
+    const double dt = machine_.handler_elapsed() - t0;
+    elem.lb_load_ += dt;
+    machine_.probe().entry(pe, col, ep, dt, machine_.now());
+  }
   /// Restores the context and runs the (rare) destroy/migrate epilogue the
   /// finished invocation requested.
   void end_exec(const ExecFrame& f, CollectionId col, const ObjIndex& idx, int pe) {
@@ -394,15 +405,7 @@ class Runtime {
   void deliver_typed(ArrayElementBase& elem, CollectionId col, const ObjIndex& idx,
                      EntryId ep, DirectInvoker<Arg> inv, const Arg& arg, int pe) {
     ExecFrame f = begin_exec(elem);
-    const double t0 = machine_.handler_elapsed();
-    inv(&elem, arg);
-    const double dt = machine_.handler_elapsed() - t0;
-    elem.lb_load_ += dt;
-    if (trace::Tracer* tr = machine_.tracer()) {
-      const double end = machine_.now();
-      tr->entry(pe, col, ep, end - dt, end);
-    }
-    if (introspect::Monitor* mon = machine_.metrics()) mon->on_entry(pe, col, ep, dt);
+    timed_entry(elem, pe, col, ep, [&] { inv(&elem, arg); });
     end_exec(f, col, idx, pe);
   }
   void destroy_local(CollectionId col, ObjIndex idx, int pe);

@@ -23,16 +23,9 @@
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/paged_table.hpp"
+#include "sim/probe.hpp"
 #include "sim/ready_queue.hpp"
 #include "sim/topology.hpp"
-
-namespace trace {
-class Tracer;
-}
-
-namespace introspect {
-class Monitor;
-}
 
 namespace sim {
 
@@ -178,22 +171,16 @@ class Machine {
   std::uint64_t messages_dropped() const { return drops_; }
   std::uint64_t messages_redirected() const { return redirects_; }
 
-  // ---- tracing ---------------------------------------------------------
+  // ---- instrumentation -------------------------------------------------
 
-  /// Attaches a trace log (nullptr detaches).  Recording never charges
-  /// virtual time, so results are identical with tracing on or off; the cost
-  /// when detached is one pointer test per event.
-  void set_tracer(trace::Tracer* t) { tracer_ = t; }
-  trace::Tracer* tracer() const { return tracer_; }
+  /// The single instrumentation point every emulator, runtime, FT and LB
+  /// site reports to (sim/probe.hpp).  Sinks never charge virtual time, so
+  /// results are identical with any sink attached or none.
+  Probe& probe() { return probe_; }
 
-  // ---- live metrics ----------------------------------------------------
-
-  /// Attaches an online metrics monitor (nullptr detaches).  Monitor hooks
-  /// never charge virtual time — same contract as the tracer: results are
-  /// identical with metrics on or off, and the detached cost is one pointer
-  /// test per event.  Normally set via introspect::Monitor::attach().
-  void set_metrics(introspect::Monitor* m) { metrics_ = m; }
-  introspect::Monitor* metrics() const { return metrics_; }
+  /// Attaches a trace log (nullptr detaches).  A metrics monitor attaches
+  /// itself through introspect::Monitor::attach().
+  void set_tracer(trace::Tracer* t) { probe_.set_tracer(t); }
 
  private:
   struct ExecCtx {
@@ -212,8 +199,7 @@ class Machine {
   MachineConfig cfg_;
   Torus3D topo_;
   NetworkModel net_;
-  trace::Tracer* tracer_ = nullptr;
-  introspect::Monitor* metrics_ = nullptr;
+  Probe probe_;
   FaultInjector* injector_ = nullptr;
   PagedTable<Pe> pes_;
   EventQueue queue_;

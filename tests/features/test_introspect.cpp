@@ -11,16 +11,21 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "ft/checkpoint.hpp"
 #include "ft/mem_checkpoint.hpp"
 #include "introspect/metrics.hpp"
 #include "lb/strategy.hpp"
 #include "malleability/malleability.hpp"
 #include "runtime/charm.hpp"
+#include "sim/fault_injector.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "trace/trace.hpp"
@@ -157,6 +162,70 @@ TEST(Introspect, LiveCountersReconcileWithPostMortem) {
   for (const stats::EntryUsage& u : r.entries)
     if (u.col >= 0) trace_calls += u.calls;
   EXPECT_EQ(live_calls, trace_calls);
+}
+
+// A failed PE's disposed handlers are not real work: the machine runs them in
+// a quarantine context with every sink detached.  Under both drop policies
+// the live counters must still reconcile with the post-mortem stats PE for
+// PE, and neither may count anything the dead PE "did" after it failed.
+TEST(Introspect, LiveCountersReconcileUnderFailures) {
+  constexpr int kNpes = 4;
+  constexpr int kVictim = 2;
+  constexpr double kFailAt = 1e-4;
+  for (const sim::DropPolicy policy :
+       {sim::DropPolicy::kDrop, sim::DropPolicy::kRedirect}) {
+    SCOPED_TRACE(policy == sim::DropPolicy::kDrop ? "kDrop" : "kRedirect");
+    Harness h(kNpes);
+    trace::Tracer tracer;
+    h.machine.set_tracer(&tracer);
+    introspect::Monitor mon;
+    mon.attach(h.machine);
+    sim::FaultConfig cfg;
+    cfg.mode = sim::FaultMode::kFixed;
+    cfg.policy = policy;
+    cfg.fixed = {{kFailAt, kVictim}};
+    sim::FaultInjector fi(cfg);
+    h.machine.set_fault_injector(&fi);
+    introspect::PeCounters at_failure;
+    fi.set_listener([&](const sim::FaultRecord&) { at_failure = mon.pe(kVictim); });
+
+    auto arr = ArrayProxy<Chatter>::create(h.rt);
+    for (int i = 0; i < kElems; ++i) arr.seed(i, i % kNpes);
+    kick_chatter(h, arr, /*seed=*/17, /*chains=*/8, /*hops=*/60);
+    // A raw handler due at the victim after it died: it charges and sends, so
+    // under kDrop a sink left attached during disposal shows on the victim.
+    h.machine.post(kVictim, 2 * kFailAt, [&h] {
+      h.machine.charge(1e-3);
+      h.machine.send(0, 48, 0, [] {});
+    });
+    h.machine.run();
+
+    ASSERT_EQ(fi.failures_injected(), 1);
+    if (policy == sim::DropPolicy::kDrop) {
+      EXPECT_GT(h.machine.messages_dropped(), 1u);
+    } else {
+      EXPECT_GT(h.machine.messages_redirected(), 1u);
+    }
+    EXPECT_GT(at_failure.execs, 0u) << "the victim worked before it failed";
+
+    const stats::Report r = stats::collect(tracer, kNpes);
+    for (int pe = 0; pe < kNpes; ++pe) {
+      const auto i = static_cast<std::size_t>(pe);
+      const introspect::PeCounters& live = mon.pe(pe);
+      EXPECT_EQ(live.exec, r.pes[i].exec) << "pe " << pe;
+      EXPECT_EQ(live.execs, r.pes[i].execs) << "pe " << pe;
+      EXPECT_EQ(live.msgs_sent, r.pes[i].msgs_sent) << "pe " << pe;
+      EXPECT_EQ(live.bytes_sent, r.pes[i].bytes_sent) << "pe " << pe;
+      // The machine counts real executions only.
+      EXPECT_EQ(live.execs, h.machine.pe(pe).executed()) << "pe " << pe;
+    }
+    const introspect::PeCounters& dead = mon.pe(kVictim);
+    EXPECT_EQ(dead.execs, at_failure.execs);
+    EXPECT_EQ(dead.exec, at_failure.exec);
+    EXPECT_EQ(dead.busy, at_failure.busy);
+    EXPECT_EQ(dead.msgs_sent, at_failure.msgs_sent);
+    EXPECT_EQ(dead.bytes_sent, at_failure.bytes_sent);
+  }
 }
 
 // ---- zero virtual-time perturbation -----------------------------------------
@@ -547,6 +616,163 @@ TEST(Introspect, JournalRecordsShrinkAndExpand) {
   EXPECT_EQ(expand_e->aux, 8);
   EXPECT_EQ(expand_e->value, 4.0);
   EXPECT_LT(shrink_e->t, expand_e->t);
+}
+
+// Paired phases (checkpoint, restore, LB step) emit their trace span and
+// their journal row from one probe call; the pairing rules (DESIGN.md §5b)
+// are pinned on one run that covers LB steps with and without a strategy
+// round, a mem checkpoint, a direct failure with its restore, a shrink and an
+// expand — and on a disk checkpoint.
+TEST(Introspect, JournalRowsMatchPhaseSpans) {
+  using introspect::JournalKind;
+  auto phase_spans = [](const trace::Tracer& t, trace::Phase ph) {
+    std::vector<trace::Event> out;
+    for (const trace::Event& e : t.events())
+      if (e.kind == trace::Kind::kPhase && e.phase == ph) out.push_back(e);
+    return out;
+  };
+  auto rows = [](const introspect::Monitor& mon, JournalKind k) {
+    std::vector<introspect::JournalEvent> out;
+    for (const introspect::JournalEvent& e : mon.journal_events())
+      if (e.kind == k) out.push_back(e);
+    return out;
+  };
+  // The span of `spans` that ends at `t`, or nullptr.
+  auto ending_at = [](const std::vector<trace::Event>& spans, double t) {
+    for (const trace::Event& e : spans)
+      if (e.end == t) return &e;
+    return static_cast<const trace::Event*>(nullptr);
+  };
+
+  {
+    Harness h(8);
+    trace::Tracer tracer;
+    h.machine.set_tracer(&tracer);
+    introspect::Monitor mon;
+    mon.attach(h.machine);
+    auto arr = ArrayProxy<Worker>::create(h.rt);
+    for (int i = 0; i < 32; ++i) arr.seed(i, i < 16 ? 0 : i % 8);
+    h.rt.lb().register_collection(arr.id());
+    h.rt.lb().set_strategy(lb::make_greedy());
+    h.rt.lb().set_period(2);
+    ft::MemCheckpointer ckpt(h.rt);
+    ccs::Server server(h.rt, {.shrink_base_s = 0.05, .expand_base_s = 0.1, .per_pe_s = 0});
+
+    h.rt.on_pe(0, [&] { arr.broadcast<&Worker::step>(IterMsg{5}); });
+    h.machine.run();
+
+    h.machine.resume();
+    bool recovered = false;
+    h.rt.on_pe(0, [&] {
+      ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
+        ckpt.fail_and_recover(3, Callback::to_function([&](ReductionResult&&) {
+          recovered = true;
+        }));
+      }));
+    });
+    h.machine.run();
+    ASSERT_TRUE(recovered);
+
+    h.machine.resume();
+    bool shrunk = false;
+    h.rt.on_pe(0, [&] {
+      server.request_shrink(4, Callback::to_function([&](ReductionResult&&) { shrunk = true; }));
+      arr.broadcast<&Worker::step>(IterMsg{3});
+    });
+    h.machine.run();
+    ASSERT_TRUE(shrunk);
+
+    h.machine.resume();
+    bool expanded = false;
+    h.rt.on_pe(0, [&] {
+      server.request_expand(8, Callback::to_function([&](ReductionResult&&) { expanded = true; }));
+      arr.broadcast<&Worker::step>(IterMsg{3});
+    });
+    h.machine.run();
+    ASSERT_TRUE(expanded);
+
+    // Every strategy round's row pairs with the LB step span that ends at its
+    // time, carrying the same migration count and cost.
+    const auto lb_spans = phase_spans(tracer, trace::Phase::kLbStep);
+    const auto lb_rows = rows(mon, JournalKind::kLbRound);
+    int moved_rows = 0;
+    for (const introspect::JournalEvent& row : lb_rows) {
+      const trace::Event* span = ending_at(lb_spans, row.t);
+      ASSERT_NE(span, nullptr) << "lb_round row at t=" << row.t << " has no span";
+      EXPECT_EQ(span->a, row.aux);
+      EXPECT_EQ(span->end - span->begin, row.value);
+      if (row.aux > 0) ++moved_rows;
+    }
+    // A step with no strategy round has a span (aux -1) and no row; every
+    // span with aux >= 0 has its row.
+    int plain_steps = 0, strategy_steps = 0;
+    for (const trace::Event& span : lb_spans) {
+      if (span.a < 0) {
+        ++plain_steps;
+        continue;
+      }
+      ++strategy_steps;
+      bool paired = false;
+      for (const introspect::JournalEvent& row : lb_rows)
+        paired = paired || (row.t == span.end && row.aux == span.a);
+      EXPECT_TRUE(paired) << "LB span ending at t=" << span.end << " has no row";
+    }
+    EXPECT_EQ(strategy_steps, static_cast<int>(lb_rows.size()));
+    EXPECT_GT(plain_steps, 0) << "the run must cover steps without a strategy round";
+    EXPECT_GT(moved_rows, 0) << "the run must cover strategy rounds that migrate";
+
+    const auto ckpt_spans = phase_spans(tracer, trace::Phase::kCheckpoint);
+    const auto ckpt_rows = rows(mon, JournalKind::kCheckpoint);
+    ASSERT_EQ(ckpt_rows.size(), 1u);
+    EXPECT_EQ(ckpt_spans.size(), ckpt_rows.size());
+    EXPECT_NE(ending_at(ckpt_spans, ckpt_rows[0].t), nullptr);
+
+    const auto restore_spans = phase_spans(tracer, trace::Phase::kRestore);
+    const auto restore_rows = rows(mon, JournalKind::kRestore);
+    ASSERT_EQ(restore_rows.size(), 1u);
+    EXPECT_EQ(restore_spans.size(), restore_rows.size());
+    const trace::Event* restore = ending_at(restore_spans, restore_rows[0].t);
+    ASSERT_NE(restore, nullptr);
+    EXPECT_EQ(restore->end - restore->begin, restore_rows[0].value);
+    EXPECT_EQ(restore_rows[0].aux, 1) << "restore aux is the victim count";
+
+    // A direct failure is journaled but has no span (only the injector path
+    // leaves one); reconfigurations are journal rows only.
+    EXPECT_EQ(rows(mon, JournalKind::kFailure).size(), 1u);
+    EXPECT_TRUE(phase_spans(tracer, trace::Phase::kFailure).empty());
+    EXPECT_EQ(rows(mon, JournalKind::kShrink).size(), 1u);
+    EXPECT_EQ(rows(mon, JournalKind::kExpand).size(), 1u);
+  }
+
+  {
+    // A disk checkpoint emits the same single checkpoint event.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("charmlike_JournalRowsMatchPhaseSpans." + std::to_string(::getpid()) + ".ckpt"))
+            .string();
+    Harness h(4);
+    trace::Tracer tracer;
+    h.machine.set_tracer(&tracer);
+    introspect::Monitor mon;
+    mon.attach(h.machine);
+    auto arr = ArrayProxy<Cell>::create(h.rt);
+    for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+    bool written = false;
+    h.rt.on_pe(0, [&] {
+      ft::checkpoint_to_file(h.rt, path, Callback::to_function([&](ReductionResult&&) {
+                               written = true;
+                             }));
+    });
+    h.machine.run();
+    std::filesystem::remove(path);
+    ASSERT_TRUE(written);
+    const auto ckpt_spans = phase_spans(tracer, trace::Phase::kCheckpoint);
+    const auto ckpt_rows = rows(mon, JournalKind::kCheckpoint);
+    ASSERT_EQ(ckpt_rows.size(), 1u);
+    ASSERT_EQ(ckpt_spans.size(), 1u);
+    EXPECT_EQ(ckpt_spans[0].end, ckpt_rows[0].t);
+    EXPECT_GT(ckpt_rows[0].value, 0.0) << "checkpoint value is the file's byte count";
+  }
 }
 
 // ---- entry-grain EWMA -------------------------------------------------------

@@ -17,7 +17,6 @@
 #include "stats/json.hpp"
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
-#include "trace/summary.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -221,17 +220,7 @@ TEST(Stats, InvariantsHoldAcrossMachineConfigs) {
     double makespan = 0;
     run_chatter(cfg.npes, cfg.net, cfg.seed, cfg.chains, cfg.hops, t, &makespan);
     const stats::Report r = stats::collect(t, cfg.npes);
-    const trace::Summary s = trace::summarize(t, cfg.npes);
-
-    // Busy/exec totals must agree with the PR-1 summary, PE for PE.
-    ASSERT_EQ(r.pes.size(), s.pes.size());
-    for (int pe = 0; pe < cfg.npes; ++pe) {
-      const auto i = static_cast<std::size_t>(pe);
-      EXPECT_NEAR(r.pes[i].busy, s.pes[i].busy, 1e-15);
-      EXPECT_NEAR(r.pes[i].exec, s.pes[i].exec, 1e-15);
-      EXPECT_EQ(r.pes[i].execs, s.pes[i].execs);
-    }
-    EXPECT_NEAR(r.total_busy(), s.total_busy(), 1e-12);
+    ASSERT_EQ(r.pes.size(), static_cast<std::size_t>(cfg.npes));
     EXPECT_NEAR(r.makespan, makespan, 1e-12);
 
     // Comm-matrix row sums == per-PE sent bytes/messages; column sums are

@@ -1,5 +1,5 @@
 // Tracing subsystem tests: event recording against a hand-computed ping-pong,
-// time-profile bin accounting, summary statistics, Chrome export shape, and —
+// time-profile bin accounting, Chrome export shape, and —
 // most importantly — that tracing never perturbs the simulation (results are
 // bit-identical with tracing on, off, or absent).
 
@@ -10,8 +10,8 @@
 #include <sstream>
 
 #include "runtime/charm.hpp"
+#include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/summary.hpp"
 #include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 
@@ -226,62 +226,6 @@ TEST(TimeProfile, BinsSumToOneAndMatchPeBusyTime) {
   }
 }
 
-// ---- summary -----------------------------------------------------------------
-
-TEST(TraceSummary, HandComputedStats) {
-  trace::Tracer t;
-  t.exec(0, 0.0, 1.0, 100);
-  t.entry(0, /*col=*/3, /*ep=*/7, 0.0, 0.6);
-  t.exec(1, 0.0, 0.5, 50);
-  t.entry(1, 3, 7, 0.1, 0.3);
-  t.entry(1, 3, 8, 0.3, 0.4);
-  t.send(0, 1, 64, 2, 0.0, 0.25);
-  t.recv(1, 0, 64, 0.25, 0.30);
-
-  auto s = trace::summarize(t, 2);
-  ASSERT_EQ(s.entries.size(), 2u);
-  EXPECT_EQ(s.entries[0].col, 3);
-  EXPECT_EQ(s.entries[0].ep, 7);
-  EXPECT_EQ(s.entries[0].calls, 2u);
-  EXPECT_NEAR(s.entries[0].total_time, 0.8, 1e-12);
-  EXPECT_NEAR(s.entries[0].max_time, 0.6, 1e-12);
-  EXPECT_EQ(s.entries[1].ep, 8);
-  EXPECT_EQ(s.entries[1].calls, 1u);
-
-  ASSERT_EQ(s.pes.size(), 2u);
-  EXPECT_EQ(s.pes[0].execs, 1u);
-  EXPECT_NEAR(s.pes[0].busy, 0.6, 1e-12);
-  EXPECT_NEAR(s.pes[0].overhead(), 0.4, 1e-12);
-  EXPECT_NEAR(s.pes[1].busy, 0.3, 1e-12);
-
-  EXPECT_EQ(s.messages.sends, 1u);
-  EXPECT_EQ(s.messages.bytes, 64u);
-  EXPECT_EQ(s.messages.hops, 2u);
-  EXPECT_NEAR(s.messages.total_latency, 0.25, 1e-12);
-  EXPECT_NEAR(s.messages.total_queue_wait, 0.05, 1e-12);
-  EXPECT_NEAR(s.span, 1.0, 1e-12);
-}
-
-TEST(TraceSummary, RealRunBusyMatchesEntryTotals) {
-  Harness h(2);
-  trace::Tracer tracer;
-  run_pingpong(h, &tracer, 20);
-  auto s = trace::summarize(tracer, 2);
-
-  double entry_total = 0;
-  std::uint64_t calls = 0;
-  for (const auto& e : s.entries) {
-    entry_total += e.total_time;
-    calls += e.calls;
-  }
-  EXPECT_EQ(calls, 20u);
-  EXPECT_NEAR(entry_total, s.total_busy(), 1e-12);
-  // 20 charges of 2us each, plus the relay sends' charged overhead.
-  EXPECT_GE(entry_total, 20 * 2e-6 - 1e-10);
-  EXPECT_LE(entry_total, 20 * 4e-6);
-  EXPECT_GT(s.total_exec(), s.total_busy()) << "scheduling overhead exists";
-}
-
 // ---- Chrome export -----------------------------------------------------------
 
 TEST(ChromeExport, EmitsWellFormedEventStream) {
@@ -388,10 +332,10 @@ TEST(Trace, QuarantineDisposalRecordsNothing) {
   EXPECT_EQ(m.messages_dropped(), 1u);
   EXPECT_TRUE(tracer.enabled()) << "suppression must be restored after disposal";
 
-  const trace::Summary s = trace::summarize(tracer, 2);
-  EXPECT_EQ(s.pes[1].execs, 0u) << "disposed handler must not count as an execution";
-  EXPECT_EQ(s.pes[1].exec, 0.0);
-  EXPECT_EQ(s.pes[1].busy, 0.0);
+  const stats::Report r = stats::collect(tracer, 2);
+  EXPECT_EQ(r.pes[1].execs, 0u) << "disposed handler must not count as an execution";
+  EXPECT_EQ(r.pes[1].exec, 0.0);
+  EXPECT_EQ(r.pes[1].busy, 0.0);
   EXPECT_EQ(count_kind(tracer, trace::Kind::kSend), 0u)
       << "sends made during disposal must not be traced";
 }
@@ -413,11 +357,11 @@ TEST(Trace, QuarantineDrainOfReadyQueueRecordsNothing) {
   m.run();
 
   EXPECT_EQ(m.messages_dropped(), 1u);
-  const trace::Summary s = trace::summarize(tracer, 2);
-  EXPECT_EQ(s.pes[1].execs, 1u) << "only the pre-failure handler really ran";
+  const stats::Report r = stats::collect(tracer, 2);
+  EXPECT_EQ(r.pes[1].execs, 1u) << "only the pre-failure handler really ran";
   // 1s of charged work plus per-delivery scheduling overhead — and none of
   // the disposed handler's 5s.
-  EXPECT_NEAR(s.pes[1].exec, 1.0, 1e-4);
+  EXPECT_NEAR(r.pes[1].exec, 1.0, 1e-4);
   EXPECT_EQ(count_kind(tracer, trace::Kind::kSend), 0u);
 }
 
