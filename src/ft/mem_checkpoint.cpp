@@ -29,7 +29,6 @@ void MemCheckpointer::checkpoint(Callback done) {
   // Stage into scratch stores; the committed checkpoint stays authoritative
   // until every PE has both copies in place.
   stage_local_.assign(local_.size(), {});
-  stage_buddy_.assign(buddy_.size(), {});
   stage_bytes_ = 0;
   ckpt_in_progress_ = true;
   const std::uint64_t ep = epoch_;
@@ -39,6 +38,7 @@ void MemCheckpointer::checkpoint(Callback done) {
     rt_.send_control(pe, 16, [this, ep, pe, P, remaining, done, begin]() {
       if (epoch_ != ep) return;  // aborted by a failure
       // Pack every local element of checkpointable collections.
+      std::vector<Copy> copies;
       double bytes = 0;
       for (std::size_t ci = 0; ci < rt_.collection_count(); ++ci) {
         Collection& c = rt_.collection(static_cast<CollectionId>(ci));
@@ -58,9 +58,11 @@ void MemCheckpointer::checkpoint(Callback done) {
           pup::Packer pk(copy.bytes);
           obj->pup(pk);
           bytes += static_cast<double>(copy.bytes.size());
-          stage_local_[static_cast<std::size_t>(pe)].push_back(std::move(copy));
+          copies.push_back(std::move(copy));
         }
       }
+      stage_local_[static_cast<std::size_t>(pe)] =
+          std::make_shared<const std::vector<Copy>>(std::move(copies));
       stage_bytes_ += static_cast<std::uint64_t>(bytes);
       rt_.charge(bytes / params_.pack_bw);  // local copy
 
@@ -68,19 +70,20 @@ void MemCheckpointer::checkpoint(Callback done) {
       const int buddy = (pe + 1) % P;
       rt_.send_control(
           buddy, static_cast<std::size_t>(bytes),
-          [this, ep, pe, buddy, bytes, remaining, done, begin]() {
+          [this, ep, P, bytes, remaining, done, begin]() {
             if (epoch_ != ep) return;
-            stage_buddy_[static_cast<std::size_t>(buddy)] =
-                stage_local_[static_cast<std::size_t>(pe)];
+            // The buddy's copy is the staged store itself (bound at commit);
+            // the copy-in it models is still charged.
             rt_.charge(bytes / params_.pack_bw);  // copy-in
             if (--*remaining != 0) return;
-            rt_.after(rt_.my_pe(), rt_.tree_wave_latency(), [this, ep, done, begin]() {
+            rt_.after(rt_.my_pe(), rt_.tree_wave_latency(), [this, ep, P, done, begin]() {
               if (epoch_ != ep) return;
-              // Commit atomically.
+              // Commit atomically; each buddy holds its predecessor's store.
               local_ = std::move(stage_local_);
-              buddy_ = std::move(stage_buddy_);
               stage_local_.assign(local_.size(), {});
-              stage_buddy_.assign(buddy_.size(), {});
+              buddy_.assign(local_.size(), {});
+              for (int p = 0; p < P; ++p)
+                buddy_[static_cast<std::size_t>((p + 1) % P)] = local_[static_cast<std::size_t>(p)];
               std::fill(buddy_valid_.begin(), buddy_valid_.end(), char{1});
               total_bytes_ = stage_bytes_;
               ++checkpoints_;
@@ -129,8 +132,8 @@ void MemCheckpointer::on_failure(int victim, Callback done) {
                                   victim, 0.0);
   // The victim's in-memory state (its local copies and the buddy copies it
   // held for its predecessor) is lost with the process.
-  local_[static_cast<std::size_t>(victim)].clear();
-  buddy_[static_cast<std::size_t>(victim)].clear();
+  local_[static_cast<std::size_t>(victim)].reset();
+  buddy_[static_cast<std::size_t>(victim)].reset();
   buddy_valid_[static_cast<std::size_t>(victim)] = 0;
   if (pending_victims_.empty()) burst_begin_ = rt_.now();
   pending_victims_.push_back(victim);
@@ -204,8 +207,9 @@ void MemCheckpointer::begin_restore() {
     if (--*remaining != 0) return;
     const int P2 = rt_.active_pes();
     // Re-replicate: restored victims regain their local stores and the buddy
-    // copies they held for their predecessors.  Ascending victim order makes
-    // chains of sequentially-failed adjacent PEs come out right.
+    // copies they held for their predecessors, sharing the surviving stores.
+    // Ascending victim order makes chains of sequentially-failed adjacent PEs
+    // come out right.
     std::vector<int> vs = pending_victims_;
     std::sort(vs.begin(), vs.end());
     for (int v : vs)
@@ -242,22 +246,22 @@ void MemCheckpointer::begin_restore() {
         std::find(pending_victims_.begin(), pending_victims_.end(), pe) !=
         pending_victims_.end();
     const int source_store = is_victim ? (pe + 1) % P : pe;
-    const std::vector<Copy>* store =
-        is_victim ? &buddy_[static_cast<std::size_t>(source_store)]
-                  : &local_[static_cast<std::size_t>(pe)];
-    double bytes = 0;
-    for (const Copy& copy : *store) bytes += static_cast<double>(copy.bytes.size());
+    const Store store = is_victim ? buddy_[static_cast<std::size_t>(source_store)]
+                                  : local_[static_cast<std::size_t>(pe)];
+    const double bytes = store_bytes(store);
 
     auto restore_here = [this, ep, pe, store, bytes, finish]() {
       if (epoch_ != ep) return;
       rt_.charge(bytes / params_.pack_bw);  // unpack
-      for (const Copy& copy : *store) {
-        Collection& c = rt_.collection(copy.col);
-        const ChareTypeInfo& info = Registry::instance().type(c.type);
-        std::unique_ptr<ArrayElementBase> obj(info.create_default());
-        pup::Unpacker u(copy.bytes);
-        obj->pup(u);
-        rt_.seed_element(copy.col, copy.idx, std::move(obj), pe);
+      if (store != nullptr) {
+        for (const Copy& copy : *store) {
+          Collection& c = rt_.collection(copy.col);
+          const ChareTypeInfo& info = Registry::instance().type(c.type);
+          std::unique_ptr<ArrayElementBase> obj(info.create_default());
+          pup::Unpacker u(copy.bytes);
+          obj->pup(u);
+          rt_.seed_element(copy.col, copy.idx, std::move(obj), pe);
+        }
       }
       finish();
     };
@@ -277,9 +281,7 @@ void MemCheckpointer::begin_restore() {
   // back so the victim again holds its buddy's data.
   for (int v : pending_victims_) {
     const int pred = (v - 1 + P) % P;
-    double bytes = 0;
-    for (const Copy& copy : local_[static_cast<std::size_t>(pred)])
-      bytes += static_cast<double>(copy.bytes.size());
+    const double bytes = store_bytes(local_[static_cast<std::size_t>(pred)]);
     rt_.send_control(pred, 16, [this, ep, v, bytes, finish]() {
       if (epoch_ != ep) return;
       rt_.send_control(v, static_cast<std::size_t>(bytes), finish);
@@ -287,12 +289,27 @@ void MemCheckpointer::begin_restore() {
   }
 }
 
+double MemCheckpointer::store_bytes(const Store& store) {
+  double bytes = 0;
+  if (store != nullptr) {
+    for (const Copy& copy : *store) bytes += static_cast<double>(copy.bytes.size());
+  }
+  return bytes;
+}
+
 std::uint64_t MemCheckpointer::stored_capacity_bytes() const {
-  std::uint64_t total = 0;
+  // Every store is referenced from local_, buddy_ or both; count each once.
+  std::vector<const std::vector<Copy>*> seen;
   for (const auto* stores : {&local_, &buddy_}) {
-    for (const std::vector<Copy>& store : *stores) {
-      for (const Copy& copy : store) total += copy.bytes.capacity();
+    for (const Store& store : *stores) {
+      if (store != nullptr) seen.push_back(store.get());
     }
+  }
+  std::sort(seen.begin(), seen.end());
+  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+  std::uint64_t total = 0;
+  for (const std::vector<Copy>* store : seen) {
+    for (const Copy& copy : *store) total += copy.bytes.capacity();
   }
   return total;
 }

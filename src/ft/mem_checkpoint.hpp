@@ -21,12 +21,18 @@
 //     recoverable.  Losing a PE *and* its buddy between re-replications is
 //     unrecoverable, as in the paper — reported as a clean std::runtime_error.
 //
+// The emulator holds one host copy of each PE's packed store: the local copy,
+// the buddy copy and a re-replicated copy all share one immutable buffer.
+// The protocol still models two copies — every pack, ship and copy-in leg is
+// charged and sent as before — so only host memory changes (DESIGN.md §16).
+//
 // Failure injection discards the victim PE's chares and drops its queued
 // messages; the same PE slot then plays the role of the replacement process
 // (DESIGN.md §1).
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,9 +86,9 @@ class MemCheckpointer {
   }
 
   std::uint64_t checkpoint_bytes() const { return total_bytes_; }
-  /// Heap capacity of every committed local and buddy copy (a diagnostic:
-  /// with exactly-sized copies it is 2 * checkpoint_bytes() while every
-  /// buddy store is valid).
+  /// Heap capacity of the committed checkpoint's packed bytes, each distinct
+  /// host buffer counted once (a diagnostic: with exactly-sized copies and
+  /// local and buddy sharing one store, it is checkpoint_bytes()).
   std::uint64_t stored_capacity_bytes() const;
   int checkpoints_taken() const { return checkpoints_; }
   int checkpoints_aborted() const { return ckpt_aborted_; }
@@ -100,21 +106,26 @@ class MemCheckpointer {
     int pe = 0;  ///< owner PE at checkpoint time
     std::vector<std::byte> bytes;
   };
+  /// One PE's packed elements.  Immutable once staged, so the local copy,
+  /// the buddy copy and re-replicated copies all share it; null is empty.
+  using Store = std::shared_ptr<const std::vector<Copy>>;
 
   /// Common failure path (manual fail_and_recover and injected failures).
   void on_failure(int victim, Callback done);
   /// Revives all pending victims and runs the combined rollback + restore.
   void begin_restore();
+  /// Packed bytes in `store` (0 for a null store).
+  static double store_bytes(const Store& store);
 
   Runtime& rt_;
   MemCkptParams params_;
   // local_[p]: copies of p's elements held in p's memory.
   // buddy_[b]: copies of ((b-1+P)%P)'s elements held in b's memory.
-  std::vector<std::vector<Copy>> local_;
-  std::vector<std::vector<Copy>> buddy_;
-  // Staging stores for the checkpoint in flight (committed atomically).
-  std::vector<std::vector<Copy>> stage_local_;
-  std::vector<std::vector<Copy>> stage_buddy_;
+  std::vector<Store> local_;
+  std::vector<Store> buddy_;
+  // Staging stores for the checkpoint in flight (committed atomically; the
+  // buddy slots are bound to them at commit).
+  std::vector<Store> stage_local_;
   /// buddy_[b] holds committed data (an empty store is valid when the owner
   /// had no elements; it turns invalid when b's process is lost).
   std::vector<char> buddy_valid_;

@@ -133,7 +133,6 @@ void Piece::build(const StartMsg&) {
 }
 
 void Piece::gravity(const SummariesMsg& m) {
-  all_ = m.all;
   acc_.assign(bodies_.size() * 3, 0.0);
   gravity_active_ = true;
   replies_expected_ = 0;
@@ -141,7 +140,7 @@ void Piece::gravity(const SummariesMsg& m) {
 
   const int me = static_cast<int>(index());
   PieceSummary mine{};
-  for (const PieceSummary& s : all_)
+  for (const PieceSummary& s : m.all)
     if (s.piece == me) mine = s;
 
   // Self-interactions: exact pairwise.
@@ -152,7 +151,7 @@ void Piece::gravity(const SummariesMsg& m) {
   direct_pairs_ += n * (n + 1) / 2;
   charm::charge(p_.pair_cost * static_cast<double>(n * n / 2));
 
-  for (const PieceSummary& s : all_) {
+  for (const PieceSummary& s : m.all) {
     if (s.piece == me || s.count == 0) continue;
     const double dx = s.cx - mine.cx, dy = s.cy - mine.cy, dz = s.cz - mine.cz;
     const double d = std::sqrt(dx * dx + dy * dy + dz * dz) + 1e-12;
@@ -235,10 +234,6 @@ void Piece::pup(pup::Er& p) {
   p | pieces_;
   p | bodies_;
   p | acc_;
-  std::uint64_t n = all_.size();
-  p | n;
-  if (p.unpacking()) all_.resize(static_cast<std::size_t>(n));
-  pup::PUParray(p, all_.data(), all_.size());
   p | replies_expected_;
   p | replies_seen_;
   p | gravity_active_;

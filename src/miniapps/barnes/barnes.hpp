@@ -138,6 +138,9 @@ class Piece : public charm::ArrayElement<Piece, std::int32_t> {
   const std::vector<Body>& bodies() const { return bodies_; }
   void seed_bodies(std::vector<Body> b) { bodies_ = std::move(b); }
   std::uint64_t direct_pairs() const { return direct_pairs_; }
+  /// The last gravity phase's accelerations, blocked [ax.. | ay.. | az..]
+  /// in the order bodies() had when it ran.
+  const std::vector<double>& accelerations() const { return acc_; }
   /// Near-piece replies still awaited in the current gravity phase.
   int replies_outstanding() const {
     return gravity_active_ ? replies_expected_ - replies_seen_ : 0;
@@ -157,7 +160,6 @@ class Piece : public charm::ArrayElement<Piece, std::int32_t> {
   /// Blocked [x.. | y.. | z..] copy of bodies_' positions for the kernel.
   /// Derived state, not pup'd: rebuilt by gravity() and on unpack.
   std::vector<double> pos_;
-  std::vector<PieceSummary> all_;  ///< gathered summaries for this step
   int replies_expected_ = 0;
   int replies_seen_ = 0;
   bool gravity_active_ = false;

@@ -178,11 +178,13 @@ void Tile::pup(pup::Er& p) {
   p | p_;
   p | tiles_;
   p | u_;
-  p | unew_;
   for (auto& g : ghosts_) p | g;
   p | gather_;
   p | target_;
   p | last_delta_;
+  // unew_ is the sweep's output buffer: the kernel writes every cell before
+  // anything reads it, so it is not packed; unpack sizes it (DESIGN.md §16).
+  if (p.unpacking()) unew_.assign(u_.size(), 0.0);
 }
 
 Sim::Sim(Runtime& rt, Params p) : rt_(rt), p_(p) {

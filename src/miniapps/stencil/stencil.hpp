@@ -95,7 +95,8 @@ class Tile : public charm::ArrayElement<Tile, Index2D> {
 
   Params p_{};
   ArrayProxy<Tile, Index2D> tiles_;
-  std::vector<double> u_, unew_;
+  std::vector<double> u_;
+  std::vector<double> unew_;  ///< sweep output scratch; not pup'd, sized on unpack
   std::vector<double> ghosts_[4];       ///< received strips per side
   DepGather<GhostMsg> gather_;          ///< per-iteration ghost accounting
   int target_ = 0;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 
 #include <unistd.h>
@@ -339,14 +340,17 @@ TEST(MemCheckpoint, SimultaneousAdjacentFailuresAreCleanlyUnrecoverable) {
 TEST(MemCheckpoint, StoredCopiesAreExactlySized) {
   // Packing into a growing buffer keeps up to 2x spare capacity per stored
   // copy, which shows up as peak RSS; every committed copy must hold exactly
-  // its bytes.  Runs 6 Jacobi iterations, checkpoints, runs 4 more; with
-  // `fail`, PE 2 then dies and the 4 iterations replay from the checkpoint.
+  // its bytes, and the local and buddy copies share one host buffer.  Runs 6
+  // Jacobi iterations, checkpoints, runs 4 more; each PE in `victims` then
+  // dies in turn and the 4 iterations replay from the checkpoint.  With
+  // victims {2, 3}, PE 2's local store is re-replicated from PE 3's buddy
+  // copy (one shared buffer), then PE 3 dies and PE 2 rolls back from it.
   struct Out {
     std::uint64_t packed = 0, ckpt_bytes = 0, capacity = 0, capacity_end = 0;
     std::vector<std::vector<double>> values;
     std::vector<double> deltas;
   };
-  auto run = [](bool fail) {
+  auto run = [](const std::vector<int>& victims) {
     Harness h(4);
     stencil::Params p;
     p.grid = 36;  // 9 x 12 cells per tile
@@ -357,6 +361,16 @@ TEST(MemCheckpoint, StoredCopiesAreExactlySized) {
     Collection& c = h.rt.collection(sim.tiles().id());
     Out out;
     bool done = false;
+    std::size_t next = 0;
+    std::function<void()> fail_next = [&] {
+      if (next == victims.size()) {
+        done = true;
+        return;
+      }
+      ckpt.fail_and_recover(victims[next++], Callback::to_function([&](ReductionResult&&) {
+        sim.run(4, Callback::to_function([&](ReductionResult&&) { fail_next(); }));
+      }));
+    };
     h.rt.on_pe(0, [&] {
       sim.run(6, Callback::to_function([&](ReductionResult&&) {
         h.rt.start_quiescence(Callback::to_function([&](ReductionResult&&) {
@@ -372,23 +386,15 @@ TEST(MemCheckpoint, StoredCopiesAreExactlySized) {
           ckpt.checkpoint(Callback::to_function([&](ReductionResult&&) {
             out.ckpt_bytes = ckpt.checkpoint_bytes();
             out.capacity = ckpt.stored_capacity_bytes();
-            sim.run(4, Callback::to_function([&](ReductionResult&&) {
-              if (!fail) {
-                done = true;
-                return;
-              }
-              ckpt.fail_and_recover(2, Callback::to_function([&](ReductionResult&&) {
-                sim.run(4, Callback::to_function([&](ReductionResult&&) { done = true; }));
-              }));
-            }));
+            sim.run(4, Callback::to_function([&](ReductionResult&&) { fail_next(); }));
           }));
         }));
       }));
     });
     h.machine.run();
     EXPECT_TRUE(done);
-    EXPECT_EQ(ckpt.recoveries_completed(), fail ? 1 : 0);
-    out.capacity_end = ckpt.stored_capacity_bytes();  // after re-replication, when `fail`
+    EXPECT_EQ(ckpt.recoveries_completed(), static_cast<int>(victims.size()));
+    out.capacity_end = ckpt.stored_capacity_bytes();  // after re-replication, with victims
     out.values.resize(static_cast<std::size_t>(sim.ntiles()));
     out.deltas.resize(out.values.size());
     c.for_each_element([&](const ArrayElementBase& e) {
@@ -399,22 +405,24 @@ TEST(MemCheckpoint, StoredCopiesAreExactlySized) {
     });
     return out;
   };
-  const Out twin = run(false);
-  const Out failed = run(true);
-  for (const Out* o : {&twin, &failed}) {
-    EXPECT_GT(o->packed, 0u);
-    EXPECT_EQ(o->ckpt_bytes, o->packed);
-    EXPECT_EQ(o->capacity, 2 * o->ckpt_bytes) << "a local or buddy copy has spare capacity";
-    EXPECT_EQ(o->capacity_end, 2 * o->ckpt_bytes);
-  }
-  ASSERT_EQ(twin.values.size(), failed.values.size());
-  for (std::size_t k = 0; k < twin.values.size(); ++k) {
-    ASSERT_FALSE(twin.values[k].empty()) << k;
-    ASSERT_EQ(twin.values[k].size(), failed.values[k].size()) << k;
-    EXPECT_EQ(0, std::memcmp(twin.values[k].data(), failed.values[k].data(),
-                             twin.values[k].size() * sizeof(double)))
-        << "tile " << k;
-    EXPECT_EQ(0, std::memcmp(&twin.deltas[k], &failed.deltas[k], sizeof(double))) << k;
+  const Out twin = run({});
+  const std::vector<std::vector<int>> cases = {{}, {2}, {2, 3}};
+  for (const std::vector<int>& victims : cases) {
+    SCOPED_TRACE(::testing::Message() << victims.size() << " sequential failures");
+    const Out got = run(victims);
+    EXPECT_GT(got.packed, 0u);
+    EXPECT_EQ(got.ckpt_bytes, got.packed);
+    EXPECT_EQ(got.capacity, got.ckpt_bytes) << "a stored copy has spare capacity or is held twice";
+    EXPECT_EQ(got.capacity_end, got.ckpt_bytes);
+    ASSERT_EQ(twin.values.size(), got.values.size());
+    for (std::size_t k = 0; k < twin.values.size(); ++k) {
+      ASSERT_FALSE(twin.values[k].empty()) << k;
+      ASSERT_EQ(twin.values[k].size(), got.values[k].size()) << k;
+      EXPECT_EQ(0, std::memcmp(twin.values[k].data(), got.values[k].data(),
+                               twin.values[k].size() * sizeof(double)))
+          << "tile " << k;
+      EXPECT_EQ(0, std::memcmp(&twin.deltas[k], &got.deltas[k], sizeof(double))) << k;
+    }
   }
 }
 
