@@ -37,7 +37,6 @@
 #include "stats/json_export.hpp"
 #include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 
 namespace bench {
@@ -389,14 +388,14 @@ inline int finish() {
 /// run: busy / overhead / idle fractions per bin, averaged over PEs.
 inline void print_time_profile(int npes, int nbins) {
   if (options().trace_file.empty()) return;
-  const trace::TimeProfile p = trace::build_time_profile(shared_tracer(), npes, nbins);
-  std::printf("   time profile (%d bins of %.3g ms, mean over %d PEs):\n", p.nbins,
-              p.bin_width * 1e3, p.npes);
+  const std::vector<stats::ProfileBin> bins =
+      stats::time_profile(shared_tracer().events(), npes, nbins);
+  std::printf("   time profile (%d bins of %.3g ms, mean over %d PEs):\n", nbins,
+              (bins[0].t1 - bins[0].t0) * 1e3, npes);
   std::printf("%16s%16s%16s%16s%16s\n", "bin_start_ms", "busy", "overhead", "idle", "sum");
-  for (int b = 0; b < p.nbins; ++b) {
-    const trace::ProfileBin& bin = p.mean[static_cast<std::size_t>(b)];
-    std::printf("%16.4f%16.4f%16.4f%16.4f%16.4f\n", (p.t0 + b * p.bin_width) * 1e3,
-                bin.busy, bin.overhead, bin.idle, bin.busy + bin.overhead + bin.idle);
+  for (const stats::ProfileBin& bin : bins) {
+    std::printf("%16.4f%16.4f%16.4f%16.4f%16.4f\n", bin.t0 * 1e3, bin.busy, bin.overhead,
+                bin.idle, bin.busy + bin.overhead + bin.idle);
   }
 }
 

@@ -28,6 +28,7 @@
 #include "runtime/charm.hpp"
 #include "runtime/location_records.hpp"
 #include "sim/rng.hpp"
+#include "support/lb_reference.hpp"
 #include "tram/tram.hpp"
 
 namespace {
@@ -355,12 +356,13 @@ BENCHMARK(BM_TramAggregationFactor)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 // One "round" is what the runtime does between the AtSync barrier and the
 // migration broadcast: refresh every chare's measured load, produce the
 // strategy input, run the strategy, and apply its decisions.  BM_LbAssign_*
-// drives the persistent load database (O(dirty) snapshot + the indexed
-// strategy paths); BM_LbAssignRebuild_* replays the pre-database cost model
-// on the same workload — regroup every chare from the per-PE element tables,
-// canonical-sort them, and hand the strategy an index-less Stats so it takes
-// its from-scratch scan path.  Decisions are bit-identical between the two
-// (the oracle fuzz in tests/features/test_lb_incremental.cpp proves it), so
+// drives the persistent load database (O(dirty) snapshot + the production
+// strategies); BM_LbAssignRebuild_* replays the pre-database cost model on the
+// same workload — regroup every chare from the per-PE element tables,
+// canonical-sort them, and run the from-scratch reference round
+// (tests/support/lb_reference.*) on the index-less Stats.  Decisions are
+// bit-identical between the two (the oracle fuzz in
+// tests/features/test_lb_incremental.cpp proves it), so
 // the us_per_round ratio isolates the decision-loop overhead the database
 // removes.  The workload models the paper's persistence principle (§III-A):
 // after a warm-up converges placement, ~1% of loads drift per round and each
@@ -448,7 +450,6 @@ void lb_assign_db(benchmark::State& state, const std::string& which) {
 
 void lb_assign_rebuild(benchmark::State& state, const std::string& which) {
   const int n = static_cast<int>(state.range(0));
-  auto strat = lb_make(which);
   std::vector<double> load(static_cast<std::size_t>(n));
   std::vector<int> pe(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -491,8 +492,8 @@ void lb_assign_rebuild(benchmark::State& state, const std::string& which) {
       if (a.idx.a != b.idx.a) return a.idx.a < b.idx.a;
       return a.idx.b < b.idx.b;
     });
-    st.aux = lb::StatsAux{};  // index-less: strategies take the rebuild path
-    const std::vector<lb::Migration> migs = strat->assign(st);
+    const std::vector<lb::Migration> migs =
+        which == "greedy" ? lb::reference::greedy(st) : lb::reference::refine(st, 1.05);
     for (const lb::Migration& mg : migs) pe[static_cast<int>(mg.idx.a)] = mg.to;
     ++round;
     return static_cast<std::int64_t>(migs.size());

@@ -227,29 +227,7 @@ void Monitor::summary_arrive(charm::Runtime& rt, int rank, double mx, double sm,
 void Monitor::fill_export(stats::MetricsMeta& out) const {
   out.enabled = true;
   out.interval = interval_;
-  out.samples.clear();
-  out.samples.reserve(samples_.size());
-  for (const Sample& s : samples_) {
-    stats::MetricsSample m;
-    m.t = s.t;
-    m.busy_max = s.busy_max;
-    m.busy_avg = s.busy_avg;
-    m.lambda = s.lambda;
-    m.busy = s.busy;
-    m.exec = s.exec;
-    m.execs = s.execs;
-    m.msgs = s.msgs;
-    m.bytes = s.bytes;
-    m.coll_msgs = s.coll_msgs;
-    m.coll_bytes = s.coll_bytes;
-    m.msg_rate = s.msg_rate;
-    m.byte_rate = s.byte_rate;
-    m.ready = s.ready;
-    m.ready_hwm = s.ready_hwm;
-    m.evq = s.evq;
-    m.evq_hwm = s.evq_hwm;
-    out.samples.push_back(m);
-  }
+  out.samples = samples_;
   out.journal.clear();
   out.journal.reserve(journal_.size());
   for (const JournalEvent& e : journal_) {

@@ -87,11 +87,12 @@ struct EntryLoad {
   double ewma = 0;
 };
 
-/// One timeline sample.  Fixed-size POD: recording one writes these fields
-/// and touches nothing else, so steady-state sampling is allocation-free
-/// (gated by the operator-new-counting test).  Cumulative fields are
-/// since-attach totals; `*_hwm` are high watermarks over the sample window;
-/// rates are window deltas divided by the interval.
+/// One timeline sample, exported as-is as a "timeseries" row of the stats
+/// JSON (stats::MetricsMeta).  Fixed-size POD: recording one writes these
+/// fields and touches nothing else, so steady-state sampling is
+/// allocation-free (gated by the operator-new-counting test).  Cumulative
+/// fields are since-attach totals; `*_hwm` are high watermarks over the
+/// sample window; rates are window deltas divided by the interval.
 struct Sample {
   double t = 0;
   double busy_max = 0;

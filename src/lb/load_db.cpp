@@ -442,7 +442,7 @@ Stats LoadDb::snapshot(int target_pes, const SpeedMap& speed) {
   flush_dirty(speed);
   flush_speed_changes(speed);
   recompute_bucket_done(speed);
-  // The canonical-order left fold matches the rebuild strategies' total; it
+  // The canonical-order left fold matches the reference strategies' total; it
   // cannot be repaired incrementally in exact FP, but it is O(n) adds over
   // the packed works array.
   total_work_ = 0.0;
@@ -473,10 +473,8 @@ Stats LoadDb::snapshot(int target_pes, const SpeedMap& speed) {
   st.npes = target_pes;
   st.pe_speed = speed;
   StatsAux& aux = st.aux;
-  aux.valid = true;
   aux.db_gen = tag ^ snap_gen_;
   aux.total_work = total_work_;
-  aux.max_hosting_pe = pe_.empty() ? -1 : pe_.rbegin()->first;
   if (patch) {
     // changed_ranks_ lists every chare rewritten by this round's flush passes
     // (duplicates are harmless); aux.pes/bucket_off/bucket_ranks only change

@@ -16,17 +16,18 @@
 //    changed since the last snapshot are re-read at the next one;
 //  - per-hosting-PE buckets with a live raw-load sum (round statistics come
 //    from these without any scan) plus cached completion sums in canonical
-//    bucket order (exactly the per-PE partial sums the from-scratch strategy
-//    paths accumulate, so snapshots are bit-identical to rebuilds);
+//    bucket order (exactly the per-PE partial sums the from-scratch reference
+//    strategies accumulate);
 //  - the canonical (col, idx)-ordered ChareInfo cache and a sorted-by-work
 //    index over migratable chares, both repaired incrementally: membership
 //    churn is batched and merged (no full re-sort) and the work index is
 //    repaired by merging the re-ranked entries into the surviving run.
 //
-// Bit-identity contract: snapshot() must equal the old collect_stats rebuild
+// Bit-identity contract: snapshot() must equal the from-scratch gather and
+// aux fold of the test tree's reference (tests/support/lb_reference.*)
 // byte-for-byte — same chare order, same FP work values, same aggregate
-// accumulation order wherever a strategy can observe it.  The incremental-vs-
-// rebuild oracle fuzz (tests/features/test_lb_incremental.cpp) enforces this.
+// accumulation order wherever a strategy can observe it.  The oracle fuzz
+// (tests/features/test_lb_incremental.cpp) enforces this.
 
 #include <array>
 #include <cstdint>
@@ -98,7 +99,7 @@ class LoadDb {
 
   /// Produces the strategy input: flushes membership churn and dirty slots,
   /// repairs the aggregates and the work index, and returns a self-contained
-  /// Stats (chares in canonical order + valid aux block).  Cost O(churn +
+  /// Stats (chares in canonical order + the aux indexes).  Cost O(churn +
   /// dirty + hosting PEs), not O(all chares) — except the total-work fold and
   /// the value copy into the Stats, which are inherently O(n).
   Stats snapshot(int target_pes, const SpeedMap& speed);
@@ -110,7 +111,7 @@ class LoadDb {
   /// re-copying the whole array.  Purely a copy/allocation optimization —
   /// snapshots are value-identical either way.
   void recycle(Stats&& st) {
-    scratch_gen_ = st.aux.valid ? st.aux.db_gen : 0;
+    scratch_gen_ = st.aux.db_gen;
     scratch_stats_ = std::move(st);
   }
 

@@ -16,11 +16,11 @@ Manager::Manager(Runtime& rt) : rt_(rt) {}
 Manager::~Manager() = default;
 
 void Manager::register_collection(CollectionId col) {
-  cols_.push_back(col);
   if (static_cast<std::size_t>(col) >= tracked_.size())
     tracked_.resize(static_cast<std::size_t>(col) + 1, 0);
-  if (tracked_[static_cast<std::size_t>(col)]) return;
+  if (tracked_[static_cast<std::size_t>(col)]) return;  // already registered
   tracked_[static_cast<std::size_t>(col)] = 1;
+  cols_.push_back(col);
   // Ingest elements that were seeded before the collection registered; later
   // lifecycle events arrive through the runtime hooks.
   Collection& c = rt_.collection(col);
@@ -87,43 +87,6 @@ Stats Manager::collect_stats(int target_pes) {
 }
 
 Stats Manager::snapshot_stats(int target_pes) { return collect_stats(target_pes); }
-
-Stats Manager::rebuild_stats(int target_pes) const {
-  Stats s;
-  s.npes = target_pes;
-  // Untouched PEs read as frequency 1.0 — the SpeedMap default — so a
-  // touched-only walk sees every non-default speed without a dense O(P)
-  // vector.
-  const sim::Machine& m = rt_.machine();
-  m.for_each_touched_pe([&](int pe, const sim::Pe& p) {
-    if (p.freq() != 1.0) s.pe_speed.set(pe, p.freq());
-  });
-  s.chares.reserve(static_cast<std::size_t>(registered_total()));
-  for (CollectionId col : cols_) {
-    Collection& c = rt_.collection(col);
-    c.pe.for_each_touched([&](std::size_t pe, PeLocal& pl) {
-      for (auto& [ix, obj] : pl.elems) {
-        ChareInfo info;
-        info.col = col;
-        info.idx = ix;
-        info.pe = static_cast<int>(pe);
-        // Measured load is in virtual seconds on the source PE; normalize
-        // back to work units so strategies can predict times on other PEs.
-        info.work = obj->lb_round_load_ * s.pe_speed[pe];
-        info.migratable = obj->migratable_ && c.migratable;
-        info.coords = obj->lb_coords();
-        s.chares.push_back(info);
-      }
-    });
-  }
-  // Deterministic order regardless of hash-map iteration details.
-  std::sort(s.chares.begin(), s.chares.end(), [](const ChareInfo& a, const ChareInfo& b) {
-    if (a.col != b.col) return a.col < b.col;
-    if (a.idx.a != b.idx.a) return a.idx.a < b.idx.a;
-    return a.idx.b < b.idx.b;
-  });
-  return s;
-}
 
 void Manager::round_complete() {
   phase_ = Phase::kBalancing;

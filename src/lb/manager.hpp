@@ -53,6 +53,8 @@ class Manager {
   explicit Manager(Runtime& rt);
   ~Manager();
 
+  /// Feeds `col`'s elements to the load database and the AtSync barrier;
+  /// registering a collection again is a no-op.
   void register_collection(CollectionId col);
 
   void set_strategy(std::unique_ptr<Strategy> s);
@@ -92,11 +94,10 @@ class Manager {
   void reset_round_state();
 
   /// Strategy input from the maintained database (O(dirty)); exposed for the
-  /// incremental-vs-rebuild oracle tests and benchmarks.
+  /// oracle tests and benchmarks.
   Stats snapshot_stats(int target_pes);
-  /// The old from-scratch gather (walk every touched PE, sort), kept as the
-  /// reference the database snapshot must match bit-for-bit.
-  Stats rebuild_stats(int target_pes) const;
+  /// LB-registered collections, in registration order.
+  const std::vector<CollectionId>& collections() const { return cols_; }
 
   const LoadDb::Counters& db_counters() const { return db_.counters(); }
 

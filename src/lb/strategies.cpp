@@ -3,21 +3,20 @@
 // completion of PE p is sum(work)/speed[p], so they remain correct under DVFS
 // and heterogeneous clouds.
 //
-// Every strategy has two equivalent paths (DESIGN.md §13):
-//  - a *rebuild* path: the original from-scratch algorithm, kept verbatim, used
-//    for hand-built Stats (aux.valid == false) and whenever a chare is hosted
-//    outside [0, npes) (shrink rounds, where the old clamping semantics apply);
-//  - an *indexed* path consuming the load database's maintained aggregates
-//    (per-PE completion sums, per-PE chare buckets, the work-order index).
-// The two paths must pick bit-identical migrations: same FP accumulation
-// order wherever a sum feeds a comparison, and the same tie-breaks (the old
+// Greedy, Refine and Hybrid decide from the load database's maintained
+// aggregates in Stats::aux (DESIGN.md §13): per-PE completion sums, per-PE
+// chare buckets and the work-order index.  The pre-database from-scratch
+// algorithms live in the test tree (tests/support/lb_reference.*) as the
+// bit-identity oracle, and test_lb_incremental fuzzes every decision here
+// against them, shrink rounds included: same FP accumulation order wherever a
+// sum feeds a comparison, and the same tie-breaks (the reference's
 // max_element/min_element keep the first — i.e. lowest-PE — extremum, so the
-// indexed heaps order ties toward the smaller PE).  test_lb_incremental fuzzes
-// this equivalence.
+// heaps here order ties toward the smaller PE).
 
 #include "lb/strategy.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <map>
 #include <numeric>
@@ -70,41 +69,20 @@ double SpeedMap::sum_first(int npes) const {
 
 namespace {
 
-bool indexed_ok(const Stats& s) {
-  // The indexed aggregates assume no hosting PE needs the old
-  // `min(c.pe, npes - 1)` clamp; shrink rounds take the rebuild path.
-  return s.aux.valid && s.npes >= 1 && s.aux.max_hosting_pe < s.npes;
+/// Greedy, Refine and Hybrid read Stats::aux, which LoadDb::snapshot fills.
+[[maybe_unused]] bool has_index(const Stats& s) {
+  return s.aux.bucket_off.size() == s.aux.pes.size() + 1;
 }
 
-std::vector<std::size_t> migratable_by_desc_work(const Stats& s) {
-  if (s.aux.valid)  // maintained (work desc, rank asc) index — same sequence
-    return {s.aux.desc_by_work.begin(), s.aux.desc_by_work.end()};
-  std::vector<std::size_t> ids;
-  ids.reserve(s.chares.size());
-  for (std::size_t i = 0; i < s.chares.size(); ++i)
-    if (s.chares[i].migratable) ids.push_back(i);
-  std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
-    if (s.chares[a].work != s.chares[b].work) return s.chares[a].work > s.chares[b].work;
-    return a < b;  // deterministic tie-break
-  });
-  return ids;
-}
-
+/// Completion contributed by non-migratable chares (they stay put).  The
+/// per-PE sums are maintained in bucket order — the addend sequence a
+/// per-chare loop sees — and chares still hosted at or beyond npes (a shrink
+/// round) contribute nothing.
 std::vector<double> base_completion(const Stats& s) {
-  // Completion contributed by non-migratable chares (they stay put).
+  assert(has_index(s));
   std::vector<double> done(static_cast<std::size_t>(s.npes), 0.0);
-  if (indexed_ok(s)) {
-    // Per-PE sums maintained in bucket order; a PE's partial sums see exactly
-    // the same addend sequence as the interleaved loop below, so the scatter
-    // is bit-identical.
-    for (std::size_t k = 0; k < s.aux.pes.size(); ++k)
-      done[static_cast<std::size_t>(s.aux.pes[k])] = s.aux.done_nonmig[k];
-    return done;
-  }
-  for (const ChareInfo& c : s.chares) {
-    if (!c.migratable && c.pe < s.npes)
-      done[static_cast<std::size_t>(c.pe)] += c.work / s.pe_speed[static_cast<std::size_t>(c.pe)];
-  }
+  for (std::size_t k = 0; k < s.aux.pes.size() && s.aux.pes[k] < s.npes; ++k)
+    done[static_cast<std::size_t>(s.aux.pes[k])] = s.aux.done_nonmig[k];
   return done;
 }
 
@@ -176,7 +154,7 @@ class GreedyLB final : public Strategy {
     MinCompletionAssigner assigner(s, pes, base_completion(s));
     std::vector<int> target(s.chares.size());
     for (std::size_t i = 0; i < s.chares.size(); ++i) target[i] = s.chares[i].pe;
-    for (std::size_t i : migratable_by_desc_work(s)) target[i] = assigner.place(s.chares[i].work);
+    for (std::uint32_t i : s.aux.desc_by_work) target[i] = assigner.place(s.chares[i].work);
     return to_migrations(s, target);
   }
 };
@@ -186,91 +164,55 @@ class RefineLB final : public Strategy {
   explicit RefineLB(double tolerance) : tol_(tolerance) {}
   std::string name() const override { return "RefineLB"; }
 
-  std::vector<Migration> assign(const Stats& s) override {
-    if (indexed_ok(s)) return assign_indexed(s);
-    return assign_rebuild(s);
-  }
-
- private:
-  // Original from-scratch algorithm, kept verbatim as the reference the
-  // indexed path must match bit-for-bit (and as the shrink-round fallback).
-  std::vector<Migration> assign_rebuild(const Stats& s) {
-    const auto n = static_cast<std::size_t>(s.npes);
-    std::vector<double> done(n, 0.0);
-    std::vector<int> target(s.chares.size());
-    std::vector<std::vector<std::size_t>> on_pe(n);
-    double total_work = 0;
-    for (std::size_t i = 0; i < s.chares.size(); ++i) {
-      const ChareInfo& c = s.chares[i];
-      const int pe = std::min(c.pe, s.npes - 1);
-      target[i] = pe;
-      done[static_cast<std::size_t>(pe)] += c.work / s.pe_speed[static_cast<std::size_t>(pe)];
-      if (c.migratable) on_pe[static_cast<std::size_t>(pe)].push_back(i);
-      total_work += c.work;
-    }
-    const double total_speed = s.pe_speed.sum_first(s.npes);
-    const double target_time = total_work / total_speed;
-
-    for (int iter = 0; iter < 8 * s.npes; ++iter) {
-      const auto hot = static_cast<std::size_t>(
-          std::max_element(done.begin(), done.end()) - done.begin());
-      const auto cold = static_cast<std::size_t>(
-          std::min_element(done.begin(), done.end()) - done.begin());
-      if (done[hot] <= target_time * tol_) break;
-      // Move the largest chare that fits without overshooting the target.
-      std::size_t pick = s.chares.size();
-      double pick_work = -1;
-      for (std::size_t i : on_pe[hot]) {
-        const double w = s.chares[i].work;
-        if (done[cold] + w / s.pe_speed[cold] <= target_time * tol_ && w > pick_work) {
-          pick = i;
-          pick_work = w;
-        }
-      }
-      if (pick == s.chares.size()) {
-        // Nothing fits under the cap; move the smallest to make progress.
-        for (std::size_t i : on_pe[hot])
-          if (pick == s.chares.size() || s.chares[i].work < pick_work ||
-              pick_work < 0) {
-            pick = i;
-            pick_work = s.chares[i].work;
-          }
-        if (pick == s.chares.size()) break;
-      }
-      on_pe[hot].erase(std::find(on_pe[hot].begin(), on_pe[hot].end(), pick));
-      on_pe[cold].push_back(pick);
-      done[hot] -= pick_work / s.pe_speed[hot];
-      done[cold] += pick_work / s.pe_speed[cold];
-      target[pick] = static_cast<int>(cold);
-    }
-    return to_migrations(s, target);
-  }
-
-  // Indexed path over the maintained aggregates: lazy min/max completion
-  // heaps instead of per-iteration O(P) extremum scans, and sorted per-PE
-  // bucket views (materialized only for PEs the loop actually touches)
+  // Moves the largest fitting chare (else the smallest) from the most to the
+  // least loaded PE until the maximum is within tolerance, over lazy min/max
+  // completion heaps instead of per-iteration O(P) extremum scans, and sorted
+  // per-PE bucket views (materialized only for PEs the loop actually touches)
   // instead of linear fit scans + erase(find).
   //
-  // Equivalence notes (the fuzz oracle pins all of these):
+  // Equivalence with the reference round (the fuzz oracle pins all of these):
   //  - done[] starts from the maintained per-PE sums, which accumulate each
-  //    PE's own chares in the same (canonical) order the rebuild loop visits
-  //    them, so every entry is bit-identical.
+  //    PE's own chares in canonical order, as the reference loop visits them.
+  //  - shrink rounds: chares hosted at or beyond npes count against PE
+  //    npes-1 (the reference's `min(pe, npes-1)` clamp).  That PE's sum and
+  //    view are rebuilt from the merged buckets in canonical order with
+  //    pe_speed[npes-1], and every clamped migratable chare the loop does not
+  //    pick still moves to npes-1.
   //  - the heaps break value-ties toward the smaller PE, matching
   //    max_element/min_element returning the first extremum.
   //  - a view is sorted by (work desc, arrival asc) where arrival is the
-  //    chare's position in the rebuild path's per-PE list (canonical rank for
+  //    chare's position in the reference's per-PE list (canonical rank for
   //    initial members, a global counter for chares moved in later).  "Largest
   //    fitting, first in list among ties" is then the first element of the
   //    fitting suffix — found by partition_point, valid because the fit
   //    predicate done + w/speed <= cap is monotone in w even in FP — and
   //    "smallest, first in list among ties" is the first element of the
   //    minimal-work tail block.
-  //  - the done[] update arithmetic is token-identical to the rebuild path.
-  std::vector<Migration> assign_indexed(const Stats& s) {
+  //  - the done[] update arithmetic is token-identical to the reference.
+  std::vector<Migration> assign(const Stats& s) override {
+    assert(has_index(s));
     const auto n = static_cast<std::size_t>(s.npes);
+    const int last = s.npes - 1;
     std::vector<double> done(n, 0.0);
-    for (std::size_t k = 0; k < s.aux.pes.size(); ++k)
-      done[static_cast<std::size_t>(s.aux.pes[k])] = s.aux.done_all[k];
+    // Ranks hosted on PEs >= npes-1, canonical order; filled only when some
+    // chare sits beyond the last target PE.
+    std::vector<std::uint32_t> clamped;
+    const bool shrink = !s.aux.pes.empty() && s.aux.pes.back() > last;
+    for (std::size_t k = 0; k < s.aux.pes.size(); ++k) {
+      if (shrink && s.aux.pes[k] >= last) {
+        clamped.insert(clamped.end(), s.aux.bucket_ranks.begin() + s.aux.bucket_off[k],
+                       s.aux.bucket_ranks.begin() + s.aux.bucket_off[k + 1]);
+      } else {
+        done[static_cast<std::size_t>(s.aux.pes[k])] = s.aux.done_all[k];
+      }
+    }
+    if (shrink) {
+      std::sort(clamped.begin(), clamped.end());
+      const double speed = s.pe_speed[static_cast<std::size_t>(last)];
+      double d = 0.0;
+      for (std::uint32_t r : clamped) d += s.chares[r].work / speed;
+      done[static_cast<std::size_t>(last)] = d;
+    }
     const double total_speed = s.pe_speed.sum_first(s.npes);
     const double target_time = s.aux.total_work / total_speed;
 
@@ -289,20 +231,22 @@ class RefineLB final : public Strategy {
     std::vector<std::vector<Entry>> extras(n);
     std::vector<char> built(n, 0);
     std::uint64_t arrival_counter = s.chares.size();
-    auto bucket_of = [&](int pe) -> std::pair<std::uint32_t, std::uint32_t> {
+    auto bucket_of = [&](int pe) -> std::pair<const std::uint32_t*, const std::uint32_t*> {
+      if (shrink && pe == last) return {clamped.data(), clamped.data() + clamped.size()};
       const auto it = std::lower_bound(s.aux.pes.begin(), s.aux.pes.end(), pe);
-      if (it == s.aux.pes.end() || *it != pe) return {0, 0};
+      if (it == s.aux.pes.end() || *it != pe) return {nullptr, nullptr};
       const auto k = static_cast<std::size_t>(it - s.aux.pes.begin());
-      return {s.aux.bucket_off[k], s.aux.bucket_off[k + 1]};
+      return {s.aux.bucket_ranks.data() + s.aux.bucket_off[k],
+              s.aux.bucket_ranks.data() + s.aux.bucket_off[k + 1]};
     };
     auto ensure_view = [&](std::size_t pe) -> std::vector<Entry>& {
       std::vector<Entry>& v = view[pe];
       if (!built[pe]) {
         built[pe] = 1;
         const auto [b, e] = bucket_of(static_cast<int>(pe));
-        v.reserve((e - b) + extras[pe].size());
-        for (std::uint32_t k = b; k < e; ++k) {
-          const std::uint32_t r = s.aux.bucket_ranks[k];
+        v.reserve(static_cast<std::size_t>(e - b) + extras[pe].size());
+        for (const std::uint32_t* it = b; it != e; ++it) {
+          const std::uint32_t r = *it;
           if (s.chares[r].migratable) v.push_back({s.chares[r].work, r, r});
         }
         std::sort(v.begin(), v.end(), before);
@@ -381,6 +325,9 @@ class RefineLB final : public Strategy {
       }
     }
 
+    // Clamped chares the loop left in place still leave the evacuated PEs.
+    for (std::uint32_t r : clamped)
+      if (s.chares[r].migratable && final_slot[r] == 0xffffffffu) moves.push_back({r, last});
     std::sort(moves.begin(), moves.end());
     std::vector<Migration> out;
     out.reserve(moves.size());
@@ -391,6 +338,7 @@ class RefineLB final : public Strategy {
     return out;
   }
 
+ private:
   double tol_;
 };
 
@@ -401,6 +349,7 @@ class HybridLB final : public Strategy {
   std::string name() const override { return "HybridLB"; }
 
   std::vector<Migration> assign(const Stats& s) override {
+    assert(has_index(s));
     const int ngroups = std::max(1, static_cast<int>(std::round(std::sqrt(s.npes))));
     const int per_group = (s.npes + ngroups - 1) / ngroups;
     auto group_of = [&](int pe) { return pe / per_group; };
@@ -417,11 +366,11 @@ class HybridLB final : public Strategy {
         group_done[static_cast<std::size_t>(group_of(std::min(c.pe, s.npes - 1)))] +=
             c.work / group_speed[static_cast<std::size_t>(group_of(std::min(c.pe, s.npes - 1)))];
 
-    const std::vector<std::size_t> order = migratable_by_desc_work(s);
+    const std::vector<std::uint32_t>& order = s.aux.desc_by_work;
     std::vector<int> chare_group(s.chares.size());
     for (std::size_t i = 0; i < s.chares.size(); ++i)
       chare_group[i] = group_of(std::min(s.chares[i].pe, s.npes - 1));
-    for (std::size_t i : order) {
+    for (std::uint32_t i : order) {
       int best = 0;
       double best_t = 0;
       for (int g = 0; g < ngroups; ++g) {
@@ -454,7 +403,7 @@ class HybridLB final : public Strategy {
           done[static_cast<std::size_t>(c.pe)] +=
               c.work / s.pe_speed[static_cast<std::size_t>(c.pe)];
       MinCompletionAssigner assigner(s, pes, done);
-      for (std::size_t i : order)
+      for (std::uint32_t i : order)
         if (chare_group[i] == g) target[i] = assigner.place(s.chares[i].work);
     }
     return to_migrations(s, target);

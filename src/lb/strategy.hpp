@@ -82,22 +82,19 @@ class SpeedMap {
   std::vector<std::pair<int, double>> entries_;  ///< (pe, speed != 1.0), pe ascending
 };
 
-/// Incrementally-maintained auxiliary indexes the load database attaches to a
-/// snapshot (DESIGN.md §13).  Value-copied with the Stats, so a strategy
-/// running after the modeled gather delay never references live DB storage.
-/// Hand-built Stats (tests, gossip replays) leave `valid` false and the
-/// strategies fall back to their from-scratch rebuild paths — which are the
-/// pre-database algorithms kept verbatim, so both paths decide identically.
+/// Incrementally-maintained indexes the load database attaches to a snapshot
+/// (DESIGN.md §13); Greedy, Refine and Hybrid decide from them, so their
+/// input comes from LoadDb::snapshot.  Value-copied with the Stats, so a
+/// strategy running after the modeled gather delay never references live DB
+/// storage.
 struct StatsAux {
-  bool valid = false;
   double total_work = 0;       ///< canonical-order left-fold over all chares
-  int max_hosting_pe = -1;     ///< largest PE hosting a chare (reconfig guard)
   /// Database snapshot generation (internal).  LoadDb::recycle uses it to
   /// prove a returned buffer is last round's snapshot, in which case the next
   /// snapshot patches only the chares that changed instead of re-copying all
-  /// of them.  Zero for hand-built Stats — those always take the full copy.
+  /// of them.  Zero for any other Stats — those always take the full copy.
   std::uint64_t db_gen = 0;
-  std::vector<int> pes;        ///< hosting PEs, ascending
+  std::vector<int> pes;        ///< hosting PEs, ascending (back() = largest)
   std::vector<double> done_all;     ///< per hosting PE: sum(work/speed), bucket order
   std::vector<double> done_nonmig;  ///< same, non-migratable chares only
   std::vector<std::uint32_t> bucket_off;    ///< CSR offsets into bucket_ranks (pes.size()+1)
@@ -109,7 +106,7 @@ struct Stats {
   int npes = 0;        ///< active PEs (assignment targets are 0..npes-1)
   SpeedMap pe_speed;   ///< frequency scale per PE (sparse, default 1.0)
   std::vector<ChareInfo> chares;  ///< canonical (col, idx) order
-  StatsAux aux;        ///< maintained indexes; invalid for hand-built Stats
+  StatsAux aux;        ///< the load database's maintained indexes
 };
 
 struct Migration {
@@ -127,15 +124,15 @@ class Strategy {
 };
 
 /// Sort chares by descending work; assign each to the PE with the earliest
-/// predicted completion time (work/speed).  O(n log n), ignores current
-/// placement (may migrate heavily).  With a valid aux block the maintained
-/// work-order index replaces the sort.
+/// predicted completion time (work/speed).  Ignores current placement (may
+/// migrate heavily); the maintained work-order index replaces the sort.
 std::unique_ptr<Strategy> make_greedy();
 
 /// Moves chares off overloaded PEs onto underloaded ones until the predicted
-/// max is within `tolerance` of the mean; minimizes migrations.  With a valid
-/// aux block a round costs O(moved log P) over indexed completion heaps
-/// instead of O(8 P · objects) full scans.
+/// max is within `tolerance` of the mean; minimizes migrations.  A round costs
+/// O(moved log P) over indexed completion heaps instead of O(8 P · objects)
+/// full scans.  Chares hosted at or beyond npes (a shrink round) count
+/// against PE npes-1 and move there unless picked.
 std::unique_ptr<Strategy> make_refine(double tolerance = 1.05);
 
 /// Two-level hierarchical scheme (HybridLB in the paper): PEs are split into

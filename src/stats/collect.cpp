@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 
 #include "stats/critical_path.hpp"
@@ -55,6 +56,25 @@ ImbalanceStats imbalance_of(const std::vector<double>& busy) {
   return im;
 }
 
+// Distributes [begin, end) over the segments starting at `bounds` (ascending,
+// bounds[0] <= begin; the last segment is open-ended) via `fn(seg, overlap)`.
+template <class Fn>
+void clip(const std::vector<double>& bounds, double begin, double end, Fn&& fn) {
+  if (end <= begin) return;
+  auto it = std::upper_bound(bounds.begin(), bounds.end(), begin);
+  std::size_t seg = static_cast<std::size_t>(it - bounds.begin()) - 1;
+  double lo = begin;
+  while (true) {
+    const bool last = seg + 1 >= bounds.size();
+    const double s1 = last ? end : bounds[seg + 1];
+    const double top = std::min(end, s1);
+    if (top > lo) fn(seg, top - lo);
+    if (last || end <= s1) break;
+    lo = s1;
+    ++seg;
+  }
+}
+
 const char* phase_label(trace::Phase p) {
   switch (p) {
     case trace::Phase::kLbStep: return "lb_step";
@@ -102,23 +122,6 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
   if (r.phases.size() == 1) r.phases.front().name = "run";
   const std::size_t nseg = r.phases.size();
 
-  // Distributes [begin, end) over the segments via `fn(seg, overlap)`.
-  auto clip = [&](double begin, double end, auto&& fn) {
-    if (end <= begin) return;
-    auto it = std::upper_bound(bounds.begin(), bounds.end(), begin);
-    std::size_t seg = static_cast<std::size_t>(it - bounds.begin()) - 1;
-    double lo = begin;
-    while (true) {
-      const bool last = seg + 1 >= nseg;
-      const double s1 = last ? end : bounds[seg + 1];  // last segment is open-ended
-      const double top = std::min(end, s1);
-      if (top > lo) fn(seg, top - lo);
-      if (last || end <= s1) break;
-      lo = s1;
-      ++seg;
-    }
-  };
-
   std::vector<double> seg_busy(static_cast<std::size_t>(r.npes) * nseg, 0);
   std::vector<double> seg_exec(static_cast<std::size_t>(r.npes) * nseg, 0);
 
@@ -154,7 +157,7 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
         if (e.pe >= 0 && e.pe < r.npes) {
           r.pes[static_cast<std::size_t>(e.pe)].busy += dt;
           pending[static_cast<std::size_t>(e.pe)].push_back(PendingEntry{e.a, e.b, dt});
-          clip(e.begin, e.end, [&](std::size_t seg, double dt_seg) {
+          clip(bounds, e.begin, e.end, [&](std::size_t seg, double dt_seg) {
             seg_busy[static_cast<std::size_t>(e.pe) * nseg + seg] += dt_seg;
           });
         }
@@ -167,7 +170,7 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
         PeUsage& p = r.pes[pe];
         ++p.execs;
         p.exec += span;
-        clip(e.begin, e.end, [&](std::size_t seg, double dt_seg) {
+        clip(bounds, e.begin, e.end, [&](std::size_t seg, double dt_seg) {
           seg_exec[pe * nseg + seg] += dt_seg;
         });
         // Attribute the span to the entry methods that ran inside it; the
@@ -265,6 +268,52 @@ Report collect(const std::vector<trace::Event>& events, int npes) {
 
   r.critical_path = critical_path(events, r.npes);
   return r;
+}
+
+std::vector<ProfileBin> time_profile(const std::vector<trace::Event>& events, int npes,
+                                     int nbins) {
+  if (npes <= 0 || nbins <= 0)
+    throw std::invalid_argument("time_profile: npes and nbins must be positive");
+  const auto nb = static_cast<std::size_t>(nbins);
+  const auto np = static_cast<std::size_t>(npes);
+  double t1 = 0;
+  for (const trace::Event& e : events)
+    if (e.kind == trace::Kind::kExec) t1 = std::max(t1, e.end);
+  if (t1 <= 0) t1 = 1.0;  // empty log: one all-idle profile
+  const double width = t1 / static_cast<double>(nb);
+  std::vector<double> bounds(nb);
+  for (std::size_t b = 0; b < nb; ++b) bounds[b] = static_cast<double>(b) * width;
+
+  // Seconds per (PE, bin) inside exec spans and inside entry spans.
+  std::vector<double> exec(np * nb, 0.0);
+  std::vector<double> busy(np * nb, 0.0);
+  for (const trace::Event& e : events) {
+    if (e.kind != trace::Kind::kExec && e.kind != trace::Kind::kEntry) continue;
+    if (e.pe < 0 || static_cast<std::size_t>(e.pe) >= np) continue;
+    double* row = (e.kind == trace::Kind::kExec ? exec : busy).data() +
+                  static_cast<std::size_t>(e.pe) * nb;
+    clip(bounds, e.begin, std::min(e.end, t1), [row](std::size_t b, double dt) { row[b] += dt; });
+  }
+
+  std::vector<ProfileBin> out(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    ProfileBin& m = out[b];
+    m.t0 = bounds[b];
+    m.t1 = bounds[b] + width;
+    for (std::size_t pe = 0; pe < np; ++pe) {
+      const double exec_f = std::min(1.0, exec[pe * nb + b] / width);
+      // Entry spans nest inside exec spans; clamp so FP noise can never
+      // produce a negative overhead.
+      const double busy_f = std::min(exec_f, busy[pe * nb + b] / width);
+      m.busy += busy_f;
+      m.overhead += exec_f - busy_f;
+      m.idle += 1.0 - exec_f;
+    }
+    m.busy /= static_cast<double>(np);
+    m.overhead /= static_cast<double>(np);
+    m.idle /= static_cast<double>(np);
+  }
+  return out;
 }
 
 }  // namespace stats

@@ -231,7 +231,7 @@ std::string to_json(const Report& r, const ExportMeta& meta) {
     w.num(meta.metrics.interval);
     w.key("timeseries");
     w.open_arr();
-    for (const MetricsSample& s : meta.metrics.samples) {
+    for (const introspect::Sample& s : meta.metrics.samples) {
       w.open_obj();
       w.key("t");
       w.num(s.t);

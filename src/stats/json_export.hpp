@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "introspect/metrics.hpp"
 #include "stats/report.hpp"
 
 namespace stats {
@@ -71,30 +72,6 @@ struct CollectivesCell {
   double time_per_round = 0;
 };
 
-/// One live-introspection timeline sample (DESIGN.md §11); mirrors
-/// introspect::Sample field-for-field so the exporter stays decoupled from
-/// the monitor.  Cumulative fields are since-attach totals, `*_hwm` high
-/// watermarks over the sample window, rates window deltas over the interval.
-struct MetricsSample {
-  double t = 0;
-  double busy_max = 0;
-  double busy_avg = 0;
-  double lambda = 0;
-  double busy = 0;
-  double exec = 0;
-  std::uint64_t execs = 0;
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t coll_msgs = 0;
-  std::uint64_t coll_bytes = 0;
-  double msg_rate = 0;
-  double byte_rate = 0;
-  std::uint64_t ready = 0;
-  std::uint64_t ready_hwm = 0;
-  std::uint64_t evq = 0;
-  std::uint64_t evq_hwm = 0;
-};
-
 /// One decision-journal row (LB round, checkpoint, restore, failure,
 /// shrink/expand) tagged onto the same timeline.
 struct MetricsJournalRow {
@@ -110,7 +87,7 @@ struct MetricsJournalRow {
 struct MetricsMeta {
   bool enabled = false;
   double interval = 0;
-  std::vector<MetricsSample> samples;
+  std::vector<introspect::Sample> samples;  ///< the monitor's timeline as recorded
   std::vector<MetricsJournalRow> journal;
 };
 

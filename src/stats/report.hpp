@@ -134,6 +134,26 @@ struct Report {
   std::uint64_t total_execs() const;
 };
 
+/// One bin of the Projections "time profile" (the view behind the paper's
+/// Fig 11): per PE, the fraction of the bin spent inside entry methods
+/// (busy), executing a handler outside any entry method (overhead: message
+/// scheduling, broadcast forwarding, reduction combines) or running nothing
+/// (idle), averaged over PEs.  busy + overhead + idle == 1.
+struct ProfileBin {
+  double t0 = 0;  ///< bin start (virtual seconds)
+  double t1 = 0;  ///< bin end: t0 + makespan / nbins
+  double busy = 0;
+  double overhead = 0;
+  double idle = 0;
+};
+
+/// Cuts [0, makespan) into `nbins` equal bins (makespan: the last exec-span
+/// end, 1 s for a log without one) and splits each PE's exec and entry spans
+/// over them with the same clipper the phase breakdown uses.  Throws
+/// std::invalid_argument unless npes and nbins are positive.
+std::vector<ProfileBin> time_profile(const std::vector<trace::Event>& events, int npes,
+                                     int nbins);
+
 /// Builds the full report from a trace log.  Deterministic: same events, same
 /// npes ⇒ identical Report (including double-for-double accumulation order).
 Report collect(const std::vector<trace::Event>& events, int npes);

@@ -10,6 +10,7 @@
 #include "lb/meta.hpp"
 #include "runtime/charm.hpp"
 
+#include "support/lb_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -18,6 +19,8 @@ using namespace charm;
 
 // ---- pure strategy tests over synthetic stats --------------------------------
 
+/// Round-robin placement; the aux indexes come from the from-scratch reference
+/// builder, so every strategy runs its production path.
 lb::Stats synthetic_stats(int npes, const std::vector<double>& works,
                           std::vector<double> speeds = {}) {
   lb::Stats s;
@@ -33,7 +36,7 @@ lb::Stats synthetic_stats(int npes, const std::vector<double>& works,
     c.coords = {static_cast<double>(i), 0.0, 0.0};
     s.chares.push_back(c);
   }
-  return s;
+  return lb::reference::with_aux(std::move(s));
 }
 
 void apply_migs(lb::Stats& s, const std::vector<lb::Migration>& migs) {
@@ -83,6 +86,7 @@ TEST(LbStrategy, NonMigratableChstaysPut) {
   lb::Stats s = synthetic_stats(4, works);
   s.chares[3].migratable = false;
   s.chares[3].work = 100.0;
+  s = lb::reference::with_aux(std::move(s));
   for (auto* make : {&lb::make_greedy, &lb::make_hybrid}) {
     auto migs = (*make)().get()->assign(s);
     for (const auto& m : migs) EXPECT_FALSE(m.idx == s.chares[3].idx);
@@ -218,6 +222,21 @@ TEST(LbManager, AtSyncRoundsResumeEveryone) {
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->iters_done, 5);
   }
+}
+
+TEST(LbManager, DoubleRegistrationCompletesEveryRound) {
+  // A second register_collection of the same collection must not count its
+  // elements twice toward the AtSync barrier (no round would ever complete).
+  Harness h(4);
+  auto arr = ArrayProxy<Worker>::create(h.rt);
+  for (int i = 0; i < 8; ++i) arr.seed(i, i % 4);
+  h.rt.lb().register_collection(arr.id());
+  h.rt.lb().register_collection(arr.id());
+  EXPECT_EQ(h.rt.lb().collections().size(), 1u);
+  h.rt.on_pe(0, [&] { arr.broadcast<&Worker::step>(IterMsg{3}); });
+  h.machine.run();
+  EXPECT_EQ(h.rt.lb().rounds_completed(), 4);
+  EXPECT_EQ(h.rt.lb().snapshot_stats(4).chares.size(), 8u) << "each element tracked once";
 }
 
 TEST(LbManager, PeriodicGreedyBalancesHeavyChares) {

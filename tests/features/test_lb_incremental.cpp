@@ -2,8 +2,9 @@
 //
 // The load database must stay bit-identical to a from-scratch rebuild after
 // ANY churn sequence — load updates, migrations, dynamic insert/destroy,
-// checkpoint-restore sweeps and shrink/expand — and the indexed strategy
-// paths must pick exactly the migrations the pre-database algorithms pick.
+// checkpoint-restore sweeps and shrink/expand — and the strategies must pick
+// exactly the migrations the pre-database algorithms pick
+// (tests/support/lb_reference.*), shrink rounds included.
 // Everything here compares with ==, never with tolerances: the contract is
 // byte-stability of every checked-in benchmark figure.
 
@@ -20,6 +21,7 @@
 #include "lb/load_db.hpp"
 #include "runtime/charm.hpp"
 
+#include "support/lb_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -76,70 +78,31 @@ std::uint64_t mix(std::uint64_t x) {  // splitmix64
   return ::testing::AssertionSuccess();
 }
 
-/// Recomputes every aux field from the chare list alone (same fold orders the
-/// database uses) and compares exactly.
+/// Compares every aux field exactly against the from-scratch reference fold.
 void expect_aux_consistent(const lb::Stats& st) {
+  const lb::StatsAux want = lb::reference::build_aux(st);
   const lb::StatsAux& aux = st.aux;
-  ASSERT_TRUE(aux.valid);
-
-  std::vector<int> pes;
-  for (const auto& c : st.chares) pes.push_back(c.pe);
-  std::sort(pes.begin(), pes.end());
-  pes.erase(std::unique(pes.begin(), pes.end()), pes.end());
-  EXPECT_EQ(aux.pes, pes);
-  EXPECT_EQ(aux.max_hosting_pe, pes.empty() ? -1 : pes.back());
-
-  double total = 0.0;
-  for (const auto& c : st.chares) total += c.work;
-  EXPECT_EQ(aux.total_work, total);
-
-  ASSERT_EQ(aux.bucket_off.size(), pes.size() + 1);
-  ASSERT_EQ(aux.done_all.size(), pes.size());
-  ASSERT_EQ(aux.done_nonmig.size(), pes.size());
-  for (std::size_t k = 0; k < pes.size(); ++k) {
-    std::vector<std::uint32_t> want;
-    for (std::uint32_t r = 0; r < st.chares.size(); ++r)
-      if (st.chares[r].pe == pes[k]) want.push_back(r);
-    const std::vector<std::uint32_t> got(aux.bucket_ranks.begin() + aux.bucket_off[k],
-                                         aux.bucket_ranks.begin() + aux.bucket_off[k + 1]);
-    EXPECT_EQ(got, want) << "bucket for pe " << pes[k];
-    const double sp = st.pe_speed[static_cast<std::size_t>(pes[k])];
-    double da = 0.0;
-    double dn = 0.0;
-    for (std::uint32_t r : want) {
-      da += st.chares[r].work / sp;
-      if (!st.chares[r].migratable) dn += st.chares[r].work / sp;
-    }
-    EXPECT_EQ(aux.done_all[k], da) << "done_all for pe " << pes[k];
-    EXPECT_EQ(aux.done_nonmig[k], dn) << "done_nonmig for pe " << pes[k];
-  }
-
-  std::vector<std::uint32_t> desc;
-  for (std::uint32_t r = 0; r < st.chares.size(); ++r)
-    if (st.chares[r].migratable) desc.push_back(r);
-  std::sort(desc.begin(), desc.end(), [&](std::uint32_t x, std::uint32_t y) {
-    if (st.chares[x].work != st.chares[y].work)
-      return st.chares[x].work > st.chares[y].work;
-    return x < y;
-  });
-  EXPECT_EQ(aux.desc_by_work, desc);
+  EXPECT_EQ(aux.pes, want.pes);
+  EXPECT_EQ(aux.total_work, want.total_work);
+  EXPECT_EQ(aux.bucket_off, want.bucket_off);
+  EXPECT_EQ(aux.bucket_ranks, want.bucket_ranks);
+  EXPECT_EQ(aux.done_all, want.done_all);
+  EXPECT_EQ(aux.done_nonmig, want.done_nonmig);
+  EXPECT_EQ(aux.desc_by_work, want.desc_by_work);
 }
 
-/// Every strategy must decide identically from the indexed snapshot and from
-/// the same chare list with the aux block cleared (the pre-database rebuild
-/// algorithms, kept verbatim).
+/// Every strategy must pick exactly the migrations the from-scratch reference
+/// picks.  HybridLB's only index read is the work order, so its reference is
+/// the same strategy over the reference-built aux.
 void expect_same_decisions(const lb::Stats& st) {
-  lb::Stats cleared = st;
-  cleared.aux = lb::StatsAux{};
-  const auto check = [&](const char* name, auto factory, auto... args) {
-    const std::vector<lb::Migration> fast = factory(args...)->assign(st);
-    const std::vector<lb::Migration> slow = factory(args...)->assign(cleared);
-    EXPECT_TRUE(migs_equal(fast, slow)) << "strategy " << name;
-  };
-  check("greedy", [] { return lb::make_greedy(); });
-  check("refine(1.05)", [](double t) { return lb::make_refine(t); }, 1.05);
-  check("refine(1.4)", [](double t) { return lb::make_refine(t); }, 1.4);
-  check("hybrid", [] { return lb::make_hybrid(); });
+  EXPECT_TRUE(migs_equal(lb::make_greedy()->assign(st), lb::reference::greedy(st)))
+      << "strategy greedy";
+  for (const double tol : {1.05, 1.4})
+    EXPECT_TRUE(migs_equal(lb::make_refine(tol)->assign(st), lb::reference::refine(st, tol)))
+        << "strategy refine(" << tol << ")";
+  EXPECT_TRUE(migs_equal(lb::make_hybrid()->assign(st),
+                         lb::make_hybrid()->assign(lb::reference::with_aux(st))))
+      << "strategy hybrid";
 }
 
 // ---- SpeedMap exactness ------------------------------------------------------
@@ -343,7 +306,7 @@ TEST(LoadDbFuzz, EmptyAndRefilledDatabase) {
   const lb::SpeedMap sp;
   lb::Stats st = db.snapshot(4, sp);
   EXPECT_TRUE(st.chares.empty());
-  EXPECT_EQ(st.aux.max_hosting_pe, -1);
+  EXPECT_TRUE(st.aux.pes.empty());
   EXPECT_EQ(st.aux.total_work, 0.0);
   const auto agg0 = db.round_aggregates(4, sp);
   EXPECT_EQ(agg0.max_load, 0.0);
@@ -435,7 +398,7 @@ using SteadyWorker = ChurnWorkerT<false>;
 
 void expect_snapshot_matches_rebuild(Runtime& rt) {
   lb::Stats snap = rt.lb().snapshot_stats(rt.active_pes());
-  const lb::Stats reb = rt.lb().rebuild_stats(rt.active_pes());
+  const lb::Stats reb = lb::reference::rebuild_stats(rt, rt.active_pes());
   EXPECT_EQ(snap.npes, reb.npes);
   EXPECT_TRUE(snap.pe_speed == reb.pe_speed);
   ASSERT_TRUE(chares_equal(snap.chares, reb.chares));
@@ -629,21 +592,108 @@ TEST(IncrementalOracle, ShrinkExpandReconfigKeepsDatabaseConsistent) {
   expect_snapshot_matches_rebuild(h.rt);
 }
 
-TEST(IncrementalOracle, ShrinkTargetSnapshotUsesRebuildPath) {
-  // A snapshot targeting fewer PEs than chares currently occupy must keep the
-  // old clamp semantics: the aux guard (max_hosting_pe >= npes) sends both
-  // paths through the verbatim rebuild algorithms.
+TEST(IncrementalOracle, ShrinkTargetSnapshotMatchesReference) {
+  // A shrink round snapshots the database with target_pes below the largest
+  // hosting PE: Refine counts every chare beyond npes-1 against PE npes-1 and
+  // moves the ones it does not pick there; Greedy's non-migratable base skips
+  // them.  The feed puts non-migratable chares on the evacuated PEs, non-unit
+  // speeds everywhere (the clamp PE included) and non-dyadic loads, whose
+  // sums depend on fold order; three rounds per seed cover the full-copy,
+  // patched-copy and post-migration snapshot paths.
+  const std::array<double, 5> freqs{0.5, 0.25, 2.0, 0.3, 1.7};
+  int clamp_moves = 0;
+  int refine_picks = 0;
+  int stuck_nonmig = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    std::uint64_t ctr = 0;
+    const auto rnd = [&] { return mix((seed << 20) ^ ++ctr); };
+    const int max_pe = 3 + static_cast<int>(rnd() % 14);  // hosting PEs [0, max_pe)
+    const int npes = 1 + static_cast<int>(rnd() % static_cast<std::uint64_t>(max_pe - 1));
+    lb::SpeedMap sp;
+    for (int pe = 0; pe < max_pe; ++pe)
+      if (rnd() % 3 == 0 || (pe == npes - 1 && seed % 2 == 0))
+        sp.set(pe, freqs[rnd() % freqs.size()]);
+
+    lb::LoadDb db;
+    struct Fed {
+      ObjIndex idx;
+      int pe;
+      double raw;
+      bool mig;
+      std::uint32_t slot;
+    };
+    std::vector<Fed> fed;
+    const int n = 8 + static_cast<int>(rnd() % 120);
+    for (int i = 0; i < n; ++i) {
+      Fed f;
+      f.idx = ObjIndex{static_cast<std::uint64_t>(i), rnd() % 3};
+      f.pe = i == 0 ? max_pe - 1 : static_cast<int>(rnd() % static_cast<std::uint64_t>(max_pe));
+      // Some repeated loads, so tie-breaks matter.
+      f.raw = i > 0 && rnd() % 5 == 0 ? fed[rnd() % fed.size()].raw
+                                      : static_cast<double>(1 + rnd() % 4096) / 3000.0;
+      f.mig = rnd() % (f.pe >= npes ? 3 : 6) != 0;
+      f.slot = db.add(i % 2, f.idx, f.pe, f.raw, f.mig, true, {}, nullptr);
+      fed.push_back(f);
+    }
+    for (int round = 0; round < 3; ++round) {
+      lb::Stats st = db.snapshot(npes, sp);
+      ASSERT_GT(st.aux.pes.back(), npes - 1);
+      expect_aux_consistent(st);
+      expect_same_decisions(st);
+      for (const lb::Migration& m : lb::reference::refine(st, 1.05))
+        ++(m.from >= npes && m.to == npes - 1 ? clamp_moves : refine_picks);
+      for (const lb::ChareInfo& c : st.chares) stuck_nonmig += !c.migratable && c.pe >= npes;
+      db.recycle(std::move(st));
+      if (round == 0) {  // load drift only: the next snapshot patches in place
+        for (Fed& f : fed)
+          if (rnd() % 4 == 0) db.update_load(f.slot, f.raw = f.raw * 1.5 + 1e-3);
+      } else {  // migrations anywhere in [0, max_pe), evacuated PEs included
+        for (Fed& f : fed) {
+          if (rnd() % 5 != 0) continue;
+          db.remove(f.slot);
+          f.pe = static_cast<int>(rnd() % static_cast<std::uint64_t>(max_pe));
+          f.slot = db.add(static_cast<CollectionId>(f.idx.a % 2), f.idx, f.pe, f.raw, f.mig,
+                          true, {}, nullptr);
+        }
+        fed[0].pe = max_pe - 1;  // keep the snapshot a shrink
+        db.remove(fed[0].slot);
+        fed[0].slot = db.add(0, fed[0].idx, fed[0].pe, fed[0].raw, fed[0].mig, true, {}, nullptr);
+      }
+    }
+  }
+  EXPECT_GT(clamp_moves, 0) << "unpicked clamped chares must have moved to npes-1";
+  EXPECT_GT(refine_picks, 0) << "refine must have balanced, not only clamped";
+  EXPECT_GT(stuck_nonmig, 0) << "non-migratable chares must have sat on evacuated PEs";
+
+  // The merged PE's sum must fold in canonical order, not bucket order:
+  // 0.1 + 0.2 + 0.3 (ranks 5, 6, 7) is 0.6000000000000001, equal to PE 1's
+  // sum, so the coldest PE is PE 1; bucket order (PE 2's 0.2 + 0.3, then PE
+  // 3's 0.1) gives 0.6 and would make PE 2 the coldest.
+  {
+    lb::LoadDb db;
+    const std::array<std::pair<int, double>, 8> feed{{
+        {0, 2.0}, {0, 2.0}, {1, 0.1}, {1, 0.2}, {1, 0.3}, {3, 0.1}, {2, 0.2}, {2, 0.3}}};
+    for (std::size_t i = 0; i < feed.size(); ++i)
+      db.add(0, ObjIndex{i, 0}, feed[i].first, feed[i].second, /*elem_migratable=*/i < 2,
+             true, {}, nullptr);
+    const lb::Stats st = db.snapshot(3, lb::SpeedMap{});
+    expect_same_decisions(st);
+  }
+
+  // The same through a live runtime: chares still on PEs 0..3, target 2.
   Harness h(4);
+  h.machine.pe(1).set_freq(0.5);
+  h.machine.pe(3).set_freq(2.0);
   auto arr = ArrayProxy<SteadyWorker>::create(h.rt);
   for (int i = 0; i < 12; ++i) arr.seed(i, i % 4);
   h.rt.lb().register_collection(arr.id());
   h.rt.on_pe(0, [&] { arr.broadcast<&SteadyWorker::step>(IterMsg{0}); });
   h.machine.run();
-  lb::Stats st = h.rt.lb().snapshot_stats(2);  // chares still live on PEs 0..3
-  ASSERT_TRUE(st.aux.valid);
-  EXPECT_EQ(st.aux.max_hosting_pe, 3);
-  const lb::Stats reb = h.rt.lb().rebuild_stats(2);
-  ASSERT_TRUE(chares_equal(st.chares, reb.chares));
+  const lb::Stats st = h.rt.lb().snapshot_stats(2);
+  EXPECT_EQ(st.aux.pes.back(), 3);
+  ASSERT_TRUE(chares_equal(st.chares, lb::reference::rebuild_stats(h.rt, 2).chares));
+  expect_aux_consistent(st);
   expect_same_decisions(st);
 }
 

@@ -12,7 +12,6 @@
 #include "runtime/charm.hpp"
 #include "stats/report.hpp"
 #include "trace/chrome_export.hpp"
-#include "trace/time_profile.hpp"
 #include "trace/trace.hpp"
 
 #include "test_util.hpp"
@@ -179,17 +178,18 @@ TEST(Trace, BoundedTracerDropsAndCounts) {
 
 TEST(TimeProfile, HandComputedBins) {
   // One exec span [0,1] on PE0 with an entry method covering [0.25,0.75].
-  std::vector<trace::Event> ev;
   trace::Tracer t;
   t.exec(0, 0.0, 1.0, 0);
   t.entry(0, 0, 0, 0.25, 0.75);
-  auto prof = trace::build_time_profile(t, /*npes=*/1, /*nbins=*/4, /*t_end=*/1.0);
+  const std::vector<stats::ProfileBin> prof = stats::time_profile(t.events(), /*npes=*/1,
+                                                                  /*nbins=*/4);
 
-  ASSERT_EQ(prof.nbins, 4);
-  EXPECT_DOUBLE_EQ(prof.bin_width, 0.25);
+  ASSERT_EQ(prof.size(), 4u);
   const double kBusy[4] = {0.0, 1.0, 1.0, 0.0};
   for (int b = 0; b < 4; ++b) {
-    const auto& bin = prof.at(0, b);
+    const stats::ProfileBin& bin = prof[static_cast<std::size_t>(b)];
+    EXPECT_DOUBLE_EQ(bin.t0, 0.25 * b) << "bin " << b;
+    EXPECT_DOUBLE_EQ(bin.t1 - bin.t0, 0.25) << "bin " << b;
     EXPECT_NEAR(bin.busy, kBusy[b], 1e-12) << "bin " << b;
     EXPECT_NEAR(bin.overhead, 1.0 - kBusy[b], 1e-12) << "bin " << b;
     EXPECT_NEAR(bin.idle, 0.0, 1e-12) << "bin " << b;
@@ -202,28 +202,34 @@ TEST(TimeProfile, BinsSumToOneAndMatchPeBusyTime) {
   run_pingpong(h, &tracer, 40);
 
   const int nbins = 16;
-  auto prof = trace::build_time_profile(tracer, 2, nbins);
-  ASSERT_EQ(prof.npes, 2);
-  ASSERT_GT(prof.bin_width, 0.0);
-
-  for (int pe = 0; pe < 2; ++pe) {
+  auto check = [&](const std::vector<trace::Event>& events, int npes, double exec_expected) {
+    const std::vector<stats::ProfileBin> prof = stats::time_profile(events, npes, nbins);
+    ASSERT_EQ(prof.size(), static_cast<std::size_t>(nbins));
     double exec_seconds = 0;
     for (int b = 0; b < nbins; ++b) {
-      const auto& bin = prof.at(pe, b);
-      EXPECT_NEAR(bin.busy + bin.overhead + bin.idle, 1.0, 1e-9)
-          << "pe " << pe << " bin " << b;
+      const stats::ProfileBin& bin = prof[static_cast<std::size_t>(b)];
+      ASSERT_GT(bin.t1, bin.t0);
+      EXPECT_NEAR(bin.busy + bin.overhead + bin.idle, 1.0, 1e-9) << "bin " << b;
       EXPECT_GE(bin.busy, 0.0);
       EXPECT_GE(bin.overhead, 0.0);
       EXPECT_GE(bin.idle, 0.0);
-      exec_seconds += (bin.busy + bin.overhead) * prof.bin_width;
+      exec_seconds += (bin.busy + bin.overhead) * (bin.t1 - bin.t0) * npes;
     }
-    // busy+overhead integrates back to the PE's measured execution time.
-    EXPECT_NEAR(exec_seconds, h.machine.pe(pe).busy_time(), 1e-9);
+    // busy+overhead integrates back to the measured execution time.
+    EXPECT_NEAR(exec_seconds, exec_expected, 1e-9);
+  };
+  // Each PE alone (its events relabelled as PE 0), then the two-PE mean.
+  for (int pe = 0; pe < 2; ++pe) {
+    SCOPED_TRACE(pe);
+    std::vector<trace::Event> own;
+    for (trace::Event e : tracer.events())
+      if (e.pe == pe) {
+        e.pe = 0;
+        own.push_back(e);
+      }
+    check(own, 1, h.machine.pe(pe).busy_time());
   }
-  // The mean profile also keeps the invariant.
-  for (int b = 0; b < nbins; ++b) {
-    EXPECT_NEAR(prof.mean[b].busy + prof.mean[b].overhead + prof.mean[b].idle, 1.0, 1e-9);
-  }
+  check(tracer.events(), 2, h.machine.pe(0).busy_time() + h.machine.pe(1).busy_time());
 }
 
 // ---- Chrome export -----------------------------------------------------------
